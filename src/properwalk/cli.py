@@ -66,16 +66,14 @@ def _cmd_analyze(args) -> int:
               f" {kind} incident-bridges {len(comp.incident_bridges)}")
     print("two-bridge rule:", "holds" if dec.two_bridge_rule else "fails")
     if dec.bipartition is None:
-        odd = decompose.shortest_odd_cycle(g)
-        print("bipartite: no; shortest odd cycle:", " ".join(map(str, odd)))
+        print("bipartite: no; shortest odd cycle:", " ".join(map(str, dec.odd_cycle)))
     else:
         a, b = dec.bipartition
         print("bipartite: yes;",
               "{" + ",".join(map(str, sorted(a))) + "} /",
               "{" + ",".join(map(str, sorted(b))) + "}")
-    contraction = decompose.contract_core_graph(g)
-    print(f"contraction: {contraction.graph.n} vertices,",
-          "a path" if contraction.is_path else "not a path")
+    print(f"contraction: {dec.contraction.graph.n} vertices,",
+          "a path" if dec.contraction.is_path else "not a path")
     if args.orient:
         for comp in dec.cores:
             if comp.trivial:
@@ -262,11 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring against a graph")
     p.add_argument("graph")
     p.add_argument("coloring")
-    p.add_argument("--pairs", choices=["all"], default="all")
     p.add_argument("--pair", nargs=2, type=int, metavar=("U", "V"))
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--walk", action="store_true", default=True)
-    mode.add_argument("--path", action="store_true", default=False)
+    p.add_argument("--path", action="store_true", help="simple paths instead of walks")
     p.add_argument("--directed", action="store_true")
     p.add_argument("--witness", action="store_true")
     p.set_defaults(fn=_cmd_verify)

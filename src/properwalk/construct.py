@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .graphs import (ColoringResult, EdgeColoring, Graph, canonical_edge,
                      emit_graph)
-from .decompose import (bipartition, blocks, bridges, bridgeless_core,
-                        contract_core_graph, cycle_connector,
-                        disjoint_odd_cycles, rotate_cycle,
+from .decompose import (Decomposition, _disjoint_odd_cycles, bipartition,
+                        cycle_connector, decomposition, rotate_cycle,
                         shortest_odd_cycle, two_disjoint_paths)
 from .orient import path_anchored_orientation, robbins_orientation
 from .verify import verify_all_pairs
@@ -128,7 +127,7 @@ def color_unicyclic3(g: Graph) -> ColoringResult:
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    if g.is_tree():
+    if g.m == g.n - 1:
         raise ValueError("graph is acyclic; use the tree construction")
     cyc = _cycle_through_first_chord(g)
     length = len(cyc)
@@ -198,27 +197,28 @@ def color_bipartite2(g: Graph):
     path: consecutive bridges share a color exactly when their attachment
     vertices in the shared component lie in different classes.
     """
-    if not g.is_connected():
-        raise ValueError("graph is not connected")
+    dec = decomposition(g)
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
-    classes = bipartition(g)
-    if classes is None:
+    if dec.bipartition is None:
         raise ValueError("graph is not bipartite")
-    class_of = {v: (0 if v in classes[0] else 1) for v in range(g.n)}
+    return _bipartite2(g, dec)
 
-    cores = bridgeless_core(g)
-    for comp in cores:
+
+def _bipartite2(g: Graph, dec: Decomposition):
+    class_of = {v: (0 if v in dec.bipartition[0] else 1) for v in range(g.n)}
+    for comp in dec.cores:
         if len(comp.incident_bridges) > 2:
             return ConditionViolation(comp.vertices, len(comp.incident_bridges))
 
     assignment = {}
-    for comp in cores:
+    for comp in dec.cores:
         if not comp.trivial:
             assignment.update(_head_colored_component(g, comp.vertices, class_of))
 
-    contraction = contract_core_graph(g)
-    assert contraction.is_path
+    contraction = dec.contraction
+    if not contraction.is_path:
+        raise AssertionError("contraction must be a path when no core touches three bridges")
     f = contraction.graph
     if f.m:
         ends = [v for v in range(f.n) if f.degree(v) <= 1]
@@ -407,7 +407,10 @@ def _check_theta(g: Graph, t: ThetaSubgraph) -> None:
     assert (len(inv) - 1 + len(arc1) - 1) % 2 == 1, "theta must be nonbipartite"
 
 
-def reduce_theta(g: Graph, _max_rounds: int = 10000):
+_THETA_MAX_ROUNDS = 10000
+
+
+def reduce_theta(g: Graph, _max_rounds: int = _THETA_MAX_ROUNDS):
     """Find a theta subgraph whose removal of outer-cycle vertices leaves a
     bipartite graph, or two edge-disjoint odd cycles when the descent escapes.
 
@@ -423,7 +426,10 @@ def reduce_theta(g: Graph, _max_rounds: int = 10000):
         raise ValueError("graph is bipartite")
     if len(soc) == g.n:
         raise ValueError("shortest odd cycle is spanning; no theta reduction needed")
+    return _reduce_theta(g, soc, _max_rounds)
 
+
+def _reduce_theta(g: Graph, soc: tuple[int, ...], max_rounds: int = _THETA_MAX_ROUNDS):
     w = min(v for v in range(g.n) if v not in set(soc))
     q1, q2 = two_disjoint_paths(g, w, set(soc))
     third = tuple(reversed(q1)) + q2[1:]          # u .. w .. v
@@ -441,7 +447,7 @@ def reduce_theta(g: Graph, _max_rounds: int = 10000):
     theta = ThetaSubgraph(outer, inverter)
     _check_theta(g, theta)
 
-    for _ in range(_max_rounds):
+    for _ in range(max_rounds):
         cyc_set = set(theta.cycle)
         rest = sorted(set(range(g.n)) - cyc_set)
         odd = None
@@ -569,18 +575,20 @@ def color_theta_block2(g: Graph) -> ColoringResult:
     constructions; otherwise colors around the reduced theta subgraph, trying
     the eight phase alignments and returning the first one the verifier
     accepts (at least one must pass)."""
-    if not g.is_connected():
-        raise ValueError("graph is not connected")
+    dec = decomposition(g)
     if g.is_complete():
         raise ValueError("graph is complete")
-    if len(blocks(g)) != 1 or g.n < 3:
+    if len(dec.blocks) != 1 or g.n < 3:
         raise ValueError("graph is not 2-connected")
-    soc = shortest_odd_cycle(g)
-    if soc is None:
+    if dec.odd_cycle is None:
         raise ValueError("graph is bipartite")
+    return _theta_block2(g, dec.odd_cycle)
+
+
+def _theta_block2(g: Graph, soc: tuple[int, ...]) -> ColoringResult:
     if len(soc) == g.n:
         return color_spanning_odd_cycle2(g, soc)
-    reduced = reduce_theta(g)
+    reduced = _reduce_theta(g, soc)
     if isinstance(reduced, TwoOddLayout):
         return color_two_odd_cycles2(g, reduced)
     for dirflag, cphase, hphase in product((0, 1), (0, 1), (0, 1)):
@@ -599,38 +607,31 @@ def color_theta_block2(g: Graph) -> ColoringResult:
 def color_bridgeless2(g: Graph) -> ColoringResult:
     """Color a connected bridgeless graph: one color when complete, two
     otherwise, routed by how many blocks are nonbipartite."""
-    if not g.is_connected():
-        raise ValueError("graph is not connected")
+    dec = decomposition(g)
     if g.n < 2:
         raise ValueError("need at least 2 vertices")
-    if bridges(g):
+    if dec.bridges:
         raise ValueError("graph has a bridge")
+    return _bridgeless2(g, dec)
+
+
+def _bridgeless2(g: Graph, dec: Decomposition) -> ColoringResult:
     if g.is_complete():
         return _finalize(g, {e: 1 for e in g.edges}, 1, "exact", "complete graph")
 
-    blks = blocks(g)
-    odd_cycles = []
-    odd_blocks = []
-    for blk in blks:
-        sub, old = g.induced(blk)
-        cyc = shortest_odd_cycle(sub)
-        if cyc is not None:
-            odd_blocks.append(blk)
-            odd_cycles.append(tuple(old[x] for x in cyc))
-
-    if len(odd_blocks) >= 2:
-        layout = layout_from_cycles(g, odd_cycles[0], odd_cycles[1])
-        inner = color_two_odd_cycles2(g, layout)
+    odd = list(islice(dec.odd_blocks(), 2))
+    if len(odd) == 2:
+        inner = color_two_odd_cycles2(g, layout_from_cycles(g, odd[0][1], odd[1][1]))
         return ColoringResult(2, inner.coloring, "exact", "bridgeless: two odd cycles")
 
-    if not odd_blocks:
-        inner = color_bipartite2(g)
+    if not odd:
+        inner = _bipartite2(g, dec)
         assert isinstance(inner, ColoringResult), "bridgeless graphs have no bridge rule to violate"
         return ColoringResult(2, inner.coloring, "exact", "bridgeless: bipartite")
 
-    blk = odd_blocks[0]
-    if len(blks) == 1:
-        inner = color_theta_block2(g)
+    blk, cyc = odd[0]
+    if len(dec.blocks) == 1:
+        inner = _theta_block2(g, cyc)
         return ColoringResult(2, inner.coloring, "exact", "bridgeless: one odd block")
 
     sub, old = g.induced(blk)
@@ -639,10 +640,11 @@ def color_bridgeless2(g: Graph) -> ColoringResult:
         # One hop crosses a complete block, so a single color on it suffices.
         assignment.update({canonical_edge(old[a], old[b]): 1 for a, b in sub.edges})
     else:
-        inner = color_theta_block2(sub)
+        new_id = {v: i for i, v in enumerate(old)}
+        inner = _theta_block2(sub, tuple(new_id[v] for v in cyc))
         for (a, b), col in inner.coloring.assignment.items():
             assignment[canonical_edge(old[a], old[b])] = col
-    for other in blks:
+    for other in dec.blocks:
         if other == blk:
             continue
         osub, oold = g.induced(other)
@@ -758,38 +760,44 @@ def pw_auto(g: Graph, exhaustive_budget: int = 18) -> ColoringResult:
     Order: complete, tree, bipartite (with the three-bridge lower bound on
     violation), bridgeless, cycle-with-feet, two edge-disjoint odd cycles,
     then an exhaustive two-color search when the graph is small enough, and
-    finally the three-color construction as a plain upper bound.
+    finally the three-color construction as a plain upper bound.  Past the
+    complete and tree exits the graph is decomposed once, and every later
+    route reads that one ``Decomposition``.
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
     if g.is_complete():
         return _finalize(g, {e: 1 for e in g.edges}, 1, "exact", "complete graph")
-    if g.is_tree():
+    if g.m == g.n - 1:                  # connected, so a tree
         return color_tree(g)
-    if bipartition(g) is not None:
-        res = color_bipartite2(g)
+    dec = decomposition(g)
+    if dec.bipartition is not None:
+        res = _bipartite2(g, dec)
         if isinstance(res, ColoringResult):
             return res
-        uc = color_unicyclic3(g)
-        assert uc.k == 3
-        return ColoringResult(3, uc.coloring, "exact", "unicyclic (three-bridge core rules out two)")
-    if not bridges(g):
-        return color_bridgeless2(g)
+        return _three_colors_exact(g, "unicyclic (three-bridge core rules out two)")
+    if not dec.bridges:
+        return _bridgeless2(g, dec)
     shape = classify_cycle_feet(g)
     if shape.member:
         if shape.two_colors:
             return color_cycle_feet2(g, shape)
-        uc = color_unicyclic3(g)
-        assert uc.k == 3
-        return ColoringResult(3, uc.coloring, "exact", "unicyclic (feet placement rules out two)")
-    found = disjoint_odd_cycles(g)
+        return _three_colors_exact(g, "unicyclic (feet placement rules out two)")
+    found = _disjoint_odd_cycles(g, dec)
     if found is not None:
         return color_two_odd_cycles2(g, TwoOddLayout(*found))
     if g.m <= exhaustive_budget:
         res = _exact.exact_pw(g, max_k=2, budgets={2: exhaustive_budget})
         if res is not None:
             return ColoringResult(res.k, res.witness, "exact", "exhaustive search")
-        uc = color_unicyclic3(g)
-        assert uc.k == 3
-        return ColoringResult(3, uc.coloring, "exact", "exhaustive refutation + unicyclic")
+        return _three_colors_exact(g, "exhaustive refutation + unicyclic")
     return color_unicyclic3(g)
+
+
+def _three_colors_exact(g: Graph, provenance: str) -> ColoringResult:
+    """The three-color construction as an exact answer, once two colors are
+    ruled out; it must then use all three."""
+    uc = color_unicyclic3(g)
+    if uc.k != 3:
+        raise AssertionError(f"internal error: '{provenance}' used {uc.k} colors, not 3")
+    return ColoringResult(3, uc.coloring, "exact", provenance)

@@ -1,5 +1,12 @@
-"""Structural decompositions: bridges, blocks, the bridge-deleted core,
-bipartitions, odd cycles, disjoint paths, and the core contraction.
+"""Structural decompositions: blocks and bridges, the bridge-deleted core
+and its contraction, bipartitions, odd cycles, disjoint paths.
+
+``blocks`` holds the only low-link DFS (Hopcroft and Tarjan 1973); in a
+simple graph the bridges are exactly the 2-vertex blocks.  A
+``Decomposition`` bundles one such pass with the cores and the bipartition;
+the dispatcher builds one per call and passes it to the constructions.  Its
+core contraction and its shortest odd cycles, per block and of the whole
+graph, are computed lazily and at most once.
 
 All operations are pure functions of immutable graphs.  Ties are broken by
 lowest vertex id and lexicographic edge order throughout, so results are
@@ -9,72 +16,38 @@ reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 from .graphs import Graph, canonical_edge
 
 
-def _require_connected(g: Graph) -> None:
-    if not g.is_connected():
-        raise ValueError("graph is not connected")
+def _bridges_of(blks) -> frozenset[tuple[int, int]]:
+    return frozenset(tuple(sorted(b)) for b in blks if len(b) == 2)
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
-    """Cut edges of a connected graph, via the classic low-link DFS."""
-    _require_connected(g)
-    n = g.n
-    disc = [0] * n          # 1-based discovery index, 0 = unvisited
-    low = [0] * n
-    out = []
-    counter = 1
-    for root in range(n):
-        if disc[root]:
-            continue
-        # stack entries: (vertex, parent, index into adjacency)
-        disc[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, 0)]
-        while stack:
-            v, parent, i = stack.pop()
-            adj = g.neighbors(v)
-            if i < len(adj):
-                stack.append((v, parent, i + 1))
-                w = adj[i]
-                if w == parent:
-                    continue
-                if disc[w]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, v, 0))
-            else:
-                if parent >= 0:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] == disc[v]:
-                        out.append(canonical_edge(parent, v))
-    return frozenset(out)
+    """Cut edges of a connected graph: the blocks with two vertices."""
+    return _bridges_of(blocks(g))
 
 
 def blocks(g: Graph) -> tuple[frozenset[int], ...]:
-    """Blocks of a connected graph: maximal 2-connected subgraphs plus bridge
-    edges, each given by its vertex set (blocks are induced subgraphs)."""
-    _require_connected(g)
+    """Blocks of a connected graph, from one low-link DFS: maximal
+    2-connected subgraphs plus bridge edges, each given by its vertex set
+    (blocks are induced subgraphs)."""
+    if not g.is_connected():
+        raise ValueError("graph is not connected")
     n = g.n
-    if n == 1:
+    if n <= 1:
         return ()
-    disc = [0] * n
+    disc = [0] * n          # 1-based discovery index, 0 = unvisited
     low = [0] * n
-    counter = 1
+    disc[0] = low[0] = 1
+    counter = 2
     edge_stack: list[tuple[int, int]] = []
     found: list[frozenset[int]] = []
-
-    root = 0
-    disc[root] = low[root] = counter
-    counter += 1
-    stack = [(root, -1, 0)]
+    stack = [(0, -1, 0)]    # (vertex, parent, index into adjacency)
     while stack:
         v, parent, i = stack.pop()
         adj = g.neighbors(v)
@@ -128,31 +101,7 @@ def bridgeless_core(g: Graph) -> tuple[CoreComponent, ...]:
 
     The components are 2-edge-connected unless they are single vertices.
     """
-    cut = bridges(g)
-    n = g.n
-    comp = [-1] * n
-    comps: list[set[int]] = []
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        cid = len(comps)
-        comps.append({s})
-        comp[s] = cid
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if comp[y] < 0 and canonical_edge(x, y) not in cut:
-                    comp[y] = cid
-                    comps[cid].add(y)
-                    queue.append(y)
-    incident: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for e in sorted(cut):
-        u, v = e
-        incident[comp[u]].append(e)
-        incident[comp[v]].append(e)
-    out = [CoreComponent(frozenset(vs), tuple(inc)) for vs, inc in zip(comps, incident)]
-    return tuple(sorted(out, key=lambda c: min(c.vertices)))
+    return decomposition(g).cores
 
 
 def meets_two_bridge_rule(cores) -> bool:
@@ -234,10 +183,9 @@ def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
         state = parent[state]
     walk.reverse()              # s .. s, odd number of edges
     cyc = tuple(walk[:-1])
-    assert len(cyc) == best_len and len(cyc) % 2 == 1
-    assert len(set(cyc)) == len(cyc), "shortest odd closed walk was not simple"
-    for i in range(len(cyc)):
-        assert g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
+    if (len(cyc) != best_len or len(set(cyc)) != len(cyc)
+            or not all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))):
+        raise AssertionError(f"shortest odd closed walk {cyc} is not an odd cycle")
     return cyc
 
 
@@ -325,7 +273,8 @@ def two_disjoint_paths(g: Graph, w: int, targets) -> tuple[tuple[int, ...], tupl
                 if flow.get((node, y), 0) > 0:
                     nxt = y
                     break
-            assert nxt is not None, "flow decomposition ran dry"
+            if nxt is None:
+                raise AssertionError("flow decomposition ran dry")
             flow[(node, nxt)] -= 1
             node = nxt
             if node != sink and node % 2 == 0:
@@ -334,9 +283,9 @@ def two_disjoint_paths(g: Graph, w: int, targets) -> tuple[tuple[int, ...], tupl
     paths.sort(key=lambda p: (p[-1], p))
     p1, p2 = paths
 
-    assert p1[-1] != p2[-1]
-    assert set(p1[1:-1]).isdisjoint(targets) and set(p2[1:-1]).isdisjoint(targets)
-    assert set(p1[1:]).isdisjoint(set(p2[1:])), "paths share an internal vertex"
+    if (p1[-1] == p2[-1] or not set(p1[1:]).isdisjoint(p2[1:])
+            or not targets.isdisjoint(p1[1:-1] + p2[1:-1])):
+        raise AssertionError(f"paths {p1} and {p2} are not internally disjoint")
     return p1, p2
 
 
@@ -382,44 +331,30 @@ def disjoint_odd_cycles(g: Graph):
     connector means the cycles share that vertex.  Detection is a
     semi-decision: None means "not found", never a proof of absence.
     """
-    _require_connected(g)
+    return _disjoint_odd_cycles(g, decomposition(g))
 
-    # Two nonbipartite blocks give cycles in different blocks immediately.
-    odd_blocks = []
-    for blk in blocks(g):
-        if len(blk) < 3:
-            continue
-        sub, old = g.induced(blk)
-        cyc = shortest_odd_cycle(sub)
-        if cyc is not None:
-            odd_blocks.append(tuple(old[v] for v in cyc))
-            if len(odd_blocks) == 2:
-                c1, c2 = odd_blocks
-                conn = cycle_connector(g, c1, c2)
-                return _orient_result(c1, c2, conn)
 
-    # Otherwise remove a shortest odd cycle and search the remainder.
-    c1 = shortest_odd_cycle(g)
-    if c1 is None:
-        return None
-    used = _cycle_edges(c1)
-    rest = Graph(g.n, [e for e in g.edges if e not in used])
-    c2 = shortest_odd_cycle(rest)
-    if c2 is None:
-        return None
+def _disjoint_odd_cycles(g: Graph, dec: Decomposition):
+    found = list(islice(dec.odd_blocks(), 2))
+    if len(found) == 2:
+        # Two nonbipartite blocks give cycles in different blocks immediately.
+        (_, c1), (_, c2) = found
+    else:
+        # Otherwise remove a shortest odd cycle and search the remainder.
+        c1 = dec.odd_cycle
+        if c1 is None:
+            return None
+        used = _cycle_edges(c1)
+        c2 = shortest_odd_cycle(Graph(g.n, [e for e in g.edges if e not in used]))
+        if c2 is None:
+            return None
     conn = cycle_connector(g, c1, c2)
-    return _orient_result(c1, c2, conn)
+    return rotate_cycle(c1, conn[0]), rotate_cycle(c2, conn[-1]), conn
 
 
 def rotate_cycle(cyc, v):
     i = cyc.index(v)
     return tuple(cyc[i:] + cyc[:i])
-
-
-def _orient_result(c1, c2, conn):
-    c1 = rotate_cycle(c1, conn[0])
-    c2 = rotate_cycle(c2, conn[-1])
-    return c1, c2, conn
 
 
 # ---------------------------------------------------------------------------
@@ -440,33 +375,89 @@ class CoreContraction:
 def contract_core_graph(g: Graph) -> CoreContraction:
     """Contract every nontrivial core component; the result is a tree, and it
     is a path exactly when every component touches at most two bridges."""
-    cores = bridgeless_core(g)
-    vmap = [0] * g.n
-    for cid, comp in enumerate(cores):
-        for v in comp.vertices:
-            vmap[v] = cid
-    cut = sorted(bridges(g))
-    fedges = [(vmap[u], vmap[v]) for u, v in cut]
-    f = Graph(len(cores), fedges)
-    assert f.m == f.n - 1, "contraction of the bridgeless core must be a tree"
-    emap = {e: canonical_edge(vmap[e[0]], vmap[e[1]]) for e in cut}
-    return CoreContraction(f, tuple(vmap), emap, f.max_degree() <= 2)
+    return decomposition(g).contraction
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Bundle of the structural facts the coloring constructions rely on."""
+    """The structural facts the coloring constructions rely on, for one
+    connected graph; the contraction and odd cycles are computed on demand."""
 
     bridges: frozenset[tuple[int, int]]
     blocks: tuple[frozenset[int], ...]
     cores: tuple[CoreComponent, ...]
     bipartition: tuple[frozenset[int], frozenset[int]] | None
+    graph: Graph = field(repr=False)
+    _block_cycles: dict[frozenset[int], tuple[int, ...] | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def two_bridge_rule(self) -> bool:
         return meets_two_bridge_rule(self.cores)
 
+    @cached_property
+    def contraction(self) -> CoreContraction:
+        vmap = [0] * self.graph.n
+        for cid, comp in enumerate(self.cores):
+            for v in comp.vertices:
+                vmap[v] = cid
+        cut = sorted(self.bridges)
+        f = Graph(len(self.cores), [(vmap[u], vmap[v]) for u, v in cut])
+        if f.m != f.n - 1:
+            raise AssertionError("contraction of the bridgeless core must be a tree")
+        emap = {e: canonical_edge(vmap[e[0]], vmap[e[1]]) for e in cut}
+        return CoreContraction(f, tuple(vmap), emap, f.max_degree() <= 2)
+
+    def odd_blocks(self):
+        """Yield (block, a shortest odd cycle of it) for each nonbipartite
+        block in block order.  A block is searched when the iteration first
+        reaches it, and never again."""
+        if self.bipartition is not None:
+            return
+        for blk in self.blocks:
+            if blk not in self._block_cycles and len(blk) > 2:
+                sub, old = self.graph.induced(blk)
+                cyc = shortest_odd_cycle(sub)
+                self._block_cycles[blk] = cyc and tuple(old[v] for v in cyc)
+            if self._block_cycles.get(blk):
+                yield blk, self._block_cycles[blk]
+
+    @cached_property
+    def odd_cycle(self) -> tuple[int, ...] | None:
+        """The shortest odd cycle ``shortest_odd_cycle`` gives for the whole
+        graph, or None when it is bipartite."""
+        if self.bipartition is not None:
+            return None
+        if len(self.blocks) == 1:       # the only block is the graph itself
+            return next(self.odd_blocks())[1]
+        return shortest_odd_cycle(self.graph)
+
 
 def decomposition(g: Graph) -> Decomposition:
-    _require_connected(g)
-    return Decomposition(bridges(g), blocks(g), bridgeless_core(g), bipartition(g))
+    """Bridges, blocks, cores and bipartition of a connected graph, from one
+    low-link pass."""
+    blks = blocks(g)
+    cut = _bridges_of(blks)
+    comp = [-1] * g.n
+    comps: list[set[int]] = []
+    for s in range(g.n):
+        if comp[s] >= 0:
+            continue
+        cid = len(comps)
+        comps.append({s})
+        comp[s] = cid
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in g.neighbors(x):
+                if comp[y] < 0 and canonical_edge(x, y) not in cut:
+                    comp[y] = cid
+                    comps[cid].add(y)
+                    queue.append(y)
+    incident: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in sorted(cut):
+        incident[comp[u]].append((u, v))
+        incident[comp[v]].append((u, v))
+    # components were found from their lowest vertex, so they are in order
+    cores = tuple(CoreComponent(frozenset(vs), tuple(inc)) for vs, inc in zip(comps, incident))
+    return Decomposition(cut, blks, cores, bipartition(g), g)

@@ -258,7 +258,8 @@ def exact_pw(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
         if found:
             witness = EdgeColoring(k, dict(zip(g.edges, colors)))
             ok, pair = verify_all_pairs(g, witness)
-            assert ok, f"kernel accepted a coloring the verifier rejects at {pair}"
+            if not ok:
+                raise AssertionError(f"kernel accepted a coloring the verifier rejects at {pair}")
             return ExactResult(k, witness, total)
     return None
 
@@ -333,7 +334,8 @@ def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
             witness = EdgeColoring(k, dict(zip(d.arcs, colors)))
             if mode == "walk":
                 ok, pair = verify_all_pairs_directed(d, witness)
-                assert ok, f"kernel accepted a coloring the verifier rejects at {pair}"
+                if not ok:
+                    raise AssertionError(f"kernel accepted a coloring the verifier rejects at {pair}")
                 return ExactResult(k, witness, total)
             if all(path_reachable_directed(d, witness, u, v)
                    for u in range(d.n) for v in range(d.n) if u != v):

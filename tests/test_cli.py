@@ -107,7 +107,7 @@ class TestVerify:
     def test_fail_pair_and_exit1(self, run, tmp_path):
         gpath = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n0 3\n")
         cpath = write(tmp_path, "all1.txt", "k 1\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n")
-        code, out, _ = run("verify", gpath, cpath, "--pairs", "all")
+        code, out, _ = run("verify", gpath, cpath)
         assert code == 1 and out == "FAIL 0 2\n"
 
     def test_single_pair_witness(self, run, tmp_path):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,29 @@ class TestIterators:
         got = set(connected_bipartite_graphs(5))
         expect = {g for g in connected_graphs(5) if bipartition(g) is not None}
         assert got == expect
+
+
+KERNEL_LIES = """
+import properwalk.exact as exact
+from properwalk import cycle
+assert not __debug__, "asserts are on"
+exact._njit = None                      # force the pure-Python kernel
+exact._walk_ok_py = lambda *args: True  # a kernel that accepts everything
+try:
+    exact.exact_pw(cycle(5), max_k=2)
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    print("returned")
+"""
+
+
+def test_kernel_check_survives_python_O():
+    """The verifier's veto on a kernel witness is an explicit raise, so it
+    still guards exact_pw when python -O strips asserts."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", KERNEL_LIES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: kernel accepted a coloring the verifier rejects")
