@@ -31,7 +31,8 @@ print("end with 2:", walk_reachable(g, alt, 0, 2, end_colors={2})[0])
 
 # ## All pairs at once
 #
-# One BFS per source; on failure you get the first failing pair back.
+# One strongly-connected-component pass over the states, read one source at
+# a time; on failure you get the lexicographically first failing pair back.
 
 c4 = cycle(4)
 bad = EdgeColoring(1, {e: 1 for e in c4.edges})

@@ -20,7 +20,7 @@ print("count for m=10, k=2:", sum(1 for _ in canonical_colorings(10, 2)))
 # ## Exact values
 #
 # The witness is the canonically smallest passing coloring and is re-checked
-# by the independent BFS verifier before being returned.
+# by the independent walk verifier before being returned.
 
 for name, g in [("K4", complete(4)), ("star K(1,3)", star(4)), ("C4", cycle(4)),
                 ("C5", cycle(5))]:

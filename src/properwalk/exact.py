@@ -240,7 +240,7 @@ def _arc_arrays(pairs, bidirectional):
 def exact_pw(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
     """Smallest k <= max_k admitting an all-pairs properly-colored-walk
     coloring, or None when every level fails.  The witness is re-verified
-    with the independent BFS checker before returning."""
+    with the independent walk verifier before returning."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
     if g.m == 0:

@@ -7,20 +7,19 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Digraph, Graph
-from .decompose import bridges, two_disjoint_paths
+from .decompose import two_disjoint_paths
 
 
 def robbins_orientation(h: Graph) -> Digraph:
     """Orient every edge of a 2-edge-connected graph so the result is
     strongly connected: DFS tree edges point away from the root, every other
-    edge points back toward an ancestor.  Strong connectivity is asserted
-    before returning."""
+    edge points back toward an ancestor.  Such an orientation of a connected
+    graph is strong exactly when the graph has no bridge (Robbins), so the
+    strong-connectivity check of the result is also the bridge check."""
     if h.n < 2:
         raise ValueError("need at least 2 vertices to orient")
     if not h.is_connected():
         raise ValueError("graph is not connected")
-    if bridges(h):
-        raise ValueError("graph has a bridge; no strongly connected orientation exists")
 
     disc = [0] * h.n
     arcs = []
@@ -47,7 +46,8 @@ def robbins_orientation(h: Graph) -> Digraph:
             stack.append((w, 0))
 
     d = Digraph(h.n, arcs)
-    assert d.is_strongly_connected(), "orientation of a bridgeless graph must be strong"
+    if not d.is_strongly_connected():
+        raise ValueError("graph has a bridge; no strongly connected orientation exists")
     return d
 
 

@@ -1,8 +1,21 @@
 """Decision procedures for properly colored walk and path reachability.
 
-These are the acceptors every emitted coloring must pass.  The walk variants
-run a BFS over (vertex, last color) states; the path variants do exhaustive
-simple-path search and are guarded to desk scale.
+These are the acceptors every emitted coloring must pass.  Walks live in the
+state digraph whose states are (vertex, color of the edge that entered it):
+state (x, last) steps to (y, col) along every edge x-y of color col != last.
+
+- The all-pairs checks make one pass of Tarjan's strongly connected
+  components algorithm over that digraph (Tarjan 1972).  An SCC closes only
+  after every SCC it points to, so its reach, the set of vertices of the
+  states it can reach, is an n-bit Python int: its own vertices OR the
+  reach of its successor SCCs (transitive closure through the condensation,
+  Purdom 1970).  The pass takes O(k*m) state and arc steps, each arc step
+  at most one OR of n-bit ints, and holds one n-bit int per SCC (at most
+  n*k SCCs, since there are at most n*k states).
+- The pairwise walk checks run a BFS over the same states and return a
+  witness walk.
+- The path variants do exhaustive simple-path search and are guarded to desk
+  scale.
 """
 
 from __future__ import annotations
@@ -98,42 +111,96 @@ def _as_color_set(colors):
 def verify_all_pairs(g: Graph, c: EdgeColoring) -> tuple[bool, tuple[int, int] | None]:
     """Does every unordered vertex pair have a properly colored walk?
 
-    One state BFS per source; on failure returns the lexicographically first
-    failing pair.
+    One SCC pass over the (vertex, last color) states, read one source at a
+    time; on failure returns the lexicographically first failing pair.
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
     c.validate_for(g)
-    adj = _colored_adjacency(g, c)
-    for src in range(g.n - 1):
-        reached = _reached_from(adj, src)
-        for tgt in range(src + 1, g.n):
-            if tgt not in reached:
-                return False, (src, tgt)
+    full = (1 << g.n) - 1
+    for src, reach in _walk_reach(_colored_adjacency(g, c), c.k, range(g.n - 1)):
+        missing = (full ^ reach) >> (src + 1)
+        if missing:
+            return False, (src, src + 1 + _lowest_bit(missing))
     return True, None
 
 
-def _reached_from(adj, src):
-    seen_states = set()
-    reached = {src}
-    queue = deque()
-    for y, col in adj[src]:
-        state = (y, col)
-        if state not in seen_states:
-            seen_states.add(state)
-            reached.add(y)
-            queue.append(state)
-    while queue:
-        x, last = queue.popleft()
-        for y, col in adj[x]:
+def _walk_reach(adj, k, sources):
+    """Yield (src, reach) for each source in order, where bit v of ``reach``
+    is set when a properly colored walk runs from src to v; bit src is
+    always set (the empty walk).
+
+    ``adj[x]`` lists (y, col) for the edges or arcs leaving x, with colors in
+    1..k.  State (y, col) has id y*(k+1)+col; its arcs are generated from
+    ``adj`` when it is expanded.  The per-state tables are dicts, so memory
+    follows the states reached (at most 2m), not the n*(k+1) id range.
+    Results persist across sources: a state closed for one source is read,
+    not searched, by the next.
+    """
+    width = k + 1
+    num = {}        # DFS number of every state reached so far
+    reach = {}      # closed state -> reach of its SCC
+    tstack = []     # Tarjan's stack of states whose SCC is still open
+    for src in sources:
+        got = 1 << src
+        for y, col in adj[src]:
+            state = y * width + col
+            sub = reach.get(state)
+            if sub is None:
+                sub = _close_from(adj, width, state, num, reach, tstack)
+            got |= sub
+        yield src, got
+
+
+def _close_from(adj, width, root, num, reach, tstack):
+    """Iterative Tarjan from the unreached state ``root``; closes every SCC
+    it reaches and returns the reach of root's SCC."""
+    s = root
+    x, last = divmod(s, width)
+    num[s] = low = len(num)
+    acc = 1 << x        # vertices seen from s, merged into its SCC's reach
+    tstack.append(s)
+    it = iter(adj[x])
+    frames = []
+    while True:
+        for y, col in it:
             if col == last:
                 continue
-            state = (y, col)
-            if state not in seen_states:
-                seen_states.add(state)
-                reached.add(y)
-                queue.append(state)
-    return reached
+            t = y * width + col
+            sub = reach.get(t)
+            if sub is not None:
+                acc |= sub
+                continue
+            nt = num.get(t)
+            if nt is not None:      # reached, not closed: on Tarjan's stack
+                if nt < low:
+                    low = nt
+                continue
+            frames.append((s, last, it, low, acc))
+            s, last = t, col
+            num[s] = low = len(num)
+            acc = 1 << y
+            tstack.append(s)
+            it = iter(adj[y])
+            break
+        else:
+            if low == num[s]:
+                while True:
+                    member = tstack.pop()
+                    reach[member] = acc
+                    if member == s:
+                        break
+            if not frames:
+                return acc
+            child_low, child_acc = low, acc
+            s, last, it, low, acc = frames.pop()
+            acc |= child_acc
+            if child_low < low:
+                low = child_low
+
+
+def _lowest_bit(bits):
+    return (bits & -bits).bit_length() - 1
 
 
 def path_reachable(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
@@ -175,14 +242,17 @@ def walk_reachable_directed(d: Digraph, c: EdgeColoring, u: int, v: int) -> tupl
 
 
 def verify_all_pairs_directed(d: Digraph, c: EdgeColoring) -> tuple[bool, tuple[int, int] | None]:
-    """All ordered pairs must be joined by a properly colored directed walk."""
+    """All ordered pairs must be joined by a properly colored directed walk.
+
+    The same SCC pass as ``verify_all_pairs``, over the arc states; on
+    failure returns the lexicographically first failing ordered pair.
+    """
     c.validate_for(d)
-    adj = _colored_out_adjacency(d, c)
-    for src in range(d.n):
-        reached = _reached_from(adj, src)
-        for tgt in range(d.n):
-            if tgt != src and tgt not in reached:
-                return False, (src, tgt)
+    full = (1 << d.n) - 1
+    for src, reach in _walk_reach(_colored_out_adjacency(d, c), c.k, range(d.n)):
+        missing = full ^ reach
+        if missing:
+            return False, (src, _lowest_bit(missing))
     return True, None
 
 

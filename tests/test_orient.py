@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from properwalk import (Graph, bridges, blocks, complete, connected_graphs,
@@ -21,6 +26,19 @@ class TestRobbins:
     def test_bridge_rejected(self):
         with pytest.raises(ValueError, match="bridge"):
             robbins_orientation(path_graph(3))
+
+    def test_bridge_rejected_under_python_O(self):
+        # the strong-connectivity check is the only bridge check, so it must
+        # not be an assert
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = ("from properwalk import path_graph, robbins_orientation\n"
+                "try:\n    robbins_orientation(path_graph(3))\n"
+                "except ValueError as exc:\n    print('raised:', exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: graph has a bridge")
 
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):

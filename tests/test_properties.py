@@ -1,12 +1,15 @@
-"""Property tests against networkx as an independent oracle (test-only), on
-random connected graphs with at most 10 vertices drawn by hypothesis."""
+"""Property tests against independent oracles (test-only), on random
+connected graphs drawn by hypothesis: networkx for the decompositions, and
+one witness BFS per vertex pair for the all-pairs walk checks."""
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from properwalk import (Graph, bipartition, blocks, bridges, pw_auto,
-                        shortest_odd_cycle)
+from properwalk import (Digraph, EdgeColoring, Graph, bipartition, blocks,
+                        bridges, pw_auto, shortest_odd_cycle, verify_all_pairs,
+                        verify_all_pairs_directed, walk_reachable,
+                        walk_reachable_directed)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -80,3 +83,28 @@ def test_pw_auto_invariant_under_relabeling(g, data):
     h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     a, b = pw_auto(g), pw_auto(h)
     assert (a.k, a.status) == (b.k, b.status)
+
+
+@PROPERTY
+@given(connected(max_n=12), st.data())
+def test_all_pairs_matches_pairwise_oracle(g, data):
+    # random colorings, so most draws fail and the failing pair is compared
+    k = data.draw(st.integers(1, 3))
+    col = EdgeColoring(k, {e: data.draw(st.integers(1, k)) for e in g.edges})
+    first = next(((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                  if not walk_reachable(g, col, u, v)[0]), None)
+    assert verify_all_pairs(g, col) == (first is None, first)
+
+
+@PROPERTY
+@given(connected(max_n=12), st.data())
+def test_all_pairs_directed_matches_pairwise_oracle(g, data):
+    # each edge becomes one arc or an antiparallel pair
+    arcs = []
+    for u, v in g.edges:
+        arcs += data.draw(st.sampled_from([[(u, v)], [(v, u)], [(u, v), (v, u)]]))
+    d = Digraph(g.n, arcs)
+    col = EdgeColoring(2, {a: data.draw(st.integers(1, 2)) for a in d.arcs})
+    first = next(((u, v) for u in range(d.n) for v in range(d.n)
+                  if u != v and not walk_reachable_directed(d, col, u, v)[0]), None)
+    assert verify_all_pairs_directed(d, col) == (first is None, first)

@@ -3,12 +3,13 @@ from itertools import product
 
 import pytest
 
-from properwalk import (EdgeColoring, Graph, bipartition, bowtie_digraph,
-                        connected_bipartite_graphs, connected_graphs,
-                        cycle, directed_cycle, path_graph, path_reachable,
-                        path_reachable_directed, random_connected, star,
-                        verify_all_pairs, verify_all_pairs_directed,
-                        walk_reachable, walk_reachable_directed)
+from properwalk import (Digraph, EdgeColoring, Graph, bipartition,
+                        bowtie_digraph, connected_bipartite_graphs,
+                        connected_graphs, cycle, directed_cycle, path_graph,
+                        path_reachable, path_reachable_directed,
+                        random_connected, star, verify_all_pairs,
+                        verify_all_pairs_directed, walk_reachable,
+                        walk_reachable_directed)
 from properwalk.graphs import ColoringMismatchError
 
 
@@ -40,6 +41,28 @@ def naive_walk_exists(g, coloring, u, v, max_len):
 
 def all_colorings(m, k):
     return product(range(1, k + 1), repeat=m)
+
+
+def first_failing_pair(g, col):
+    """Pairwise oracle for verify_all_pairs: one witness BFS per pair."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not walk_reachable(g, col, u, v)[0]:
+                return u, v
+    return None
+
+
+def first_failing_ordered_pair(d, col):
+    """Pairwise oracle for verify_all_pairs_directed."""
+    for u in range(d.n):
+        for v in range(d.n):
+            if u != v and not walk_reachable_directed(d, col, u, v)[0]:
+                return u, v
+    return None
+
+
+def expect(pair):
+    return (pair is None, pair)
 
 
 class TestWalkReachable:
@@ -185,7 +208,7 @@ class TestPathReachable:
         # with two colors on a bipartite graph, walks shortcut to paths;
         # exhaustive over every coloring of every graph up to 6 vertices,
         # with the adjacency hoisted out of the pair loop for speed
-        from properwalk.verify import _path_dfs, _reached_from
+        from properwalk.verify import _path_dfs, _walk_reach
         for n in range(2, 7):
             for g in connected_bipartite_graphs(n):
                 if g.m == 0:
@@ -196,11 +219,10 @@ class TestPathReachable:
                     for (a, b), col in zip(g.edges, colors):
                         adj[a].append((b, col))
                         adj[b].append((a, col))
-                    for u in range(n):
-                        walk_ok = _reached_from(adj, u)
+                    for u, walk_ok in _walk_reach(adj, 2, range(n)):
                         for v in range(u + 1, n):
                             path_ok = _path_dfs(adj, u, v, 1 << u, 0)
-                            assert (v in walk_ok) == path_ok
+                            assert bool(walk_ok >> v & 1) == path_ok
 
     def test_walk_equals_path_matches_public_functions(self):
         # spot-check that the hoisted loop above matches the public API
@@ -239,3 +261,46 @@ class TestDirected:
         col = EdgeColoring(1, {a: 1 for a in d.arcs})
         ok, pair = verify_all_pairs_directed(d, col)
         assert not ok
+
+
+class TestAllPairsAgainstPairwiseOracle:
+    """The all-pairs SCC pass against one BFS per pair, on the verdict and
+    the lexicographically first failing pair."""
+
+    def test_every_coloring_of_small_graphs(self):
+        # every connected graph with n <= 4 under every coloring with k <= 3
+        checked = 0
+        for n in range(1, 5):
+            for g in connected_graphs(n):
+                for k in (1, 2, 3):
+                    for colors in all_colorings(g.m, k):
+                        col = EdgeColoring(k, dict(zip(g.edges, colors)))
+                        assert verify_all_pairs(g, col) == expect(first_failing_pair(g, col))
+                        checked += 1
+        assert checked > 4000
+
+    def test_every_two_coloring_of_small_digraphs(self):
+        # every digraph with n <= 3, strongly connected or not
+        for n in range(1, 4):
+            slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(slots)):
+                d = Digraph(n, [a for i, a in enumerate(slots) if mask >> i & 1])
+                for colors in all_colorings(d.m, 2):
+                    col = EdgeColoring(2, dict(zip(d.arcs, colors)))
+                    assert (verify_all_pairs_directed(d, col)
+                            == expect(first_failing_ordered_pair(d, col)))
+
+    def test_long_path(self):
+        # an alternating path passes; recoloring edge (i, i+1) gives it the
+        # color of both neighbouring edges, so no walk crosses it.  On a path
+        # every walk from 0 to i passes 1..i-1, so (0, i+1) is the first
+        # failing pair exactly when 0 reaches i and not i+1.
+        n, i = 5000, 2500
+        g = path_graph(n)
+        assignment = {(v, v + 1): 1 + v % 2 for v in range(n - 1)}
+        assert verify_all_pairs(g, EdgeColoring(2, assignment)) == (True, None)
+        assignment[(i, i + 1)] = 3 - assignment[(i, i + 1)]
+        col = EdgeColoring(2, assignment)
+        assert walk_reachable(g, col, 0, i)[0]
+        assert not walk_reachable(g, col, 0, i + 1)[0]
+        assert verify_all_pairs(g, col) == (False, (0, i + 1))
