@@ -8,15 +8,24 @@ the canonically smallest passing coloring.
 
 The hot loop is a bit-parallel fixpoint: reach[c][v] is the bitmask of source
 vertices that can reach vertex v by a properly colored walk ending in color
-c.  A numba-compiled twin of the kernel is used when numba is importable;
-the pure-Python kernel is the reference and the fallback.
+c.  Each search checks its first _HEAD colorings one at a time with the
+pure-Python kernel, the reference.  With numpy and at most 63 vertices, the
+rest of the level goes through a numpy kernel in blocks of consecutive
+colorings, one uint64 lane per coloring; the lowest passing lane is taken,
+so witness and explored count match the one-at-a-time search.  Without
+numpy the whole search is pure Python.
+
+exact_pw, exact_pp and exact_directed share one level loop, _solve, and
+differ only in the acceptor a walk-passing coloring must also satisfy.  The
+solver uses no theorem about the answer.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import lru_cache, partial
+from itertools import accumulate, combinations, product
 
 from .graphs import Digraph, EdgeColoring, Graph
 from .verify import (path_reachable, path_reachable_directed, verify_all_pairs,
@@ -24,13 +33,13 @@ from .verify import (path_reachable, path_reachable_directed, verify_all_pairs,
 
 try:
     import numpy as _np
-    from numba import njit as _njit
-except ImportError:        # pragma: no cover - exercised only without numba
+except ImportError:        # pragma: no cover - exercised in a subprocess test
     _np = None
-    _njit = None
 
 
 PATH_VERTEX_LIMIT = 10
+_HEAD = 64          # colorings each search checks in Python before batching
+_LANES = 1024       # most colorings in one numpy block
 
 
 class BudgetExceededError(ValueError):
@@ -127,9 +136,12 @@ def _walk_ok_py(n, k, au, av, ae, colors, reach) -> bool:
     return True
 
 
-def _search_py(n, k, au, av, ae, colors, maxp, skip_current):
+def _find_pass(n, k, au, av, ae, colors, maxp, skip_current):
     """Advance through canonical colorings until one passes the all-pairs
-    walk check; returns (found, explored) with the witness left in colors."""
+    walk check; returns (found, explored) with the witness left in colors
+    and maxp.  The first _HEAD candidates go through _walk_ok_py one at a
+    time, because one numpy block costs about as much as that many Python
+    checks; the rest of the level goes through _search_blocks."""
     explored = 0
     if skip_current and not _advance_py(colors, maxp, k):
         return False, explored
@@ -140,84 +152,109 @@ def _search_py(n, k, au, av, ae, colors, maxp, skip_current):
             return True, explored
         if not _advance_py(colors, maxp, k):
             return False, explored
+        if explored == _HEAD and _np is not None and n < 64:
+            found, more = _search_blocks(n, k, (au, av, ae), colors, maxp)
+            return found, explored + more
 
 
-if _njit is not None:
-    @_njit(cache=True)
-    def _advance_nb(colors, maxp, k):         # pragma: no cover - numba twin
-        m = colors.shape[0]
-        i = m - 1
-        while i >= 1:
-            cap = maxp[i - 1] + 1
-            if cap > k:
-                cap = k
-            if colors[i] < cap:
-                colors[i] += 1
-                mp = maxp[i - 1]
-                if colors[i] > mp:
-                    mp = colors[i]
-                maxp[i] = mp
-                for j in range(i + 1, m):
-                    colors[j] = 1
-                    maxp[j] = mp
-                return True
-            i -= 1
-        return False
-
-    @_njit(cache=True)
-    def _search_nb(n, k, au, av, ae, colors, maxp, skip_current):  # pragma: no cover
-        explored = 0
-        if skip_current and not _advance_nb(colors, maxp, k):
-            return False, explored
-        reach = _np.zeros((k + 1, n), dtype=_np.int64)
-        full = (_np.int64(1) << n) - 1
-        na = au.shape[0]
-        while True:
-            explored += 1
-            for c in range(1, k + 1):
-                for v in range(n):
-                    reach[c, v] = 0
-            changed = True
-            while changed:
-                changed = False
-                for t in range(na):
-                    a = au[t]
-                    c = colors[ae[t]]
-                    avail = _np.int64(1) << a
-                    for c2 in range(1, k + 1):
-                        if c2 != c:
-                            avail |= reach[c2, a]
-                    b = av[t]
-                    if avail & ~reach[c, b]:
-                        reach[c, b] |= avail
-                        changed = True
-            ok = True
-            for v in range(n):
-                cover = _np.int64(1) << v
-                for c in range(1, k + 1):
-                    cover |= reach[c, v]
-                if cover != full:
-                    ok = False
-                    break
-            if ok:
-                return True, explored
-            if not _advance_nb(colors, maxp, k):
-                return False, explored
+def _search_blocks(n, k, arcs, colors, maxp):
+    """Check the canonical colorings from ``colors`` to the end of the level
+    in numpy blocks.  Returns (found, explored) like _find_pass: the lowest
+    passing lane is the canonically smallest passing coloring, and it is
+    written back to colors and maxp."""
+    m = len(colors)
+    s = 0
+    while s < m - 1 and k ** (s + 1) <= _LANES:
+        s += 1
+    p = m - s
+    table = _suffix_table(s, k, maxp[p - 1])
+    start = int(_np.flatnonzero((table == colors[p:]).all(axis=1))[0])
+    explored = 0
+    for lanes in _blocks(k, s, colors[:p], maxp[:p], start):
+        ok = _block_ok(n, k, arcs, lanes)
+        if ok.any():
+            lane = int(ok.argmax())
+            colors[:] = lanes[lane].tolist()
+            maxp[:] = accumulate(colors, max)
+            return True, explored + lane + 1
+        explored += len(lanes)
+    return False, explored
 
 
-def _find_pass(n, k, au, av, ae, colors, maxp, skip_current):
-    if _njit is not None and n < 60:
-        carr = _np.asarray(colors, dtype=_np.int64)
-        marr = _np.asarray(maxp, dtype=_np.int64)
-        found, explored = _search_nb(n, k,
-                                     _np.asarray(au, dtype=_np.int64),
-                                     _np.asarray(av, dtype=_np.int64),
-                                     _np.asarray(ae, dtype=_np.int64),
-                                     carr, marr, skip_current)
-        colors[:] = [int(x) for x in carr]
-        maxp[:] = [int(x) for x in marr]
-        return found, int(explored)
-    return _search_py(n, k, au, av, ae, colors, maxp, skip_current)
+@lru_cache(maxsize=64)
+def _suffix_table(s, k, top):
+    """Every color sequence of length s that can follow a canonical prefix
+    whose largest color is ``top``, in lexicographic order (read-only)."""
+    rows = _np.zeros((1, 0), dtype=_np.min_scalar_type(k))
+    run = _np.array([top])
+    palette = _np.arange(1, k + 1, dtype=rows.dtype)
+    for _ in range(s):
+        r, c = _np.nonzero(palette <= _np.minimum(run + 1, k)[:, None])
+        rows = _np.column_stack((rows[r], palette[c]))
+        run = _np.maximum(run[r], palette[c])
+    rows.flags.writeable = False
+    return rows
+
+
+def _blocks(k, s, prefix, pmax, start):
+    """Yield the level's canonical colorings from prefix + table[start] on,
+    in lexicographic order, as arrays of at most _LANES rows: each prefix of
+    length m - s in turn, times the suffixes its running maximum allows.
+    k ** s <= _LANES, so one prefix's suffixes always fit in a block."""
+    heads, tails, size = [], [], 0
+    tail = _suffix_table(s, k, pmax[-1])[start:]
+    while True:
+        if size + len(tail) > _LANES:
+            yield _assemble(heads, tails)
+            heads, tails, size = [], [], 0
+        heads.append(prefix[:])
+        tails.append(tail)
+        size += len(tail)
+        if not _advance_py(prefix, pmax, k):
+            yield _assemble(heads, tails)
+            return
+        tail = _suffix_table(s, k, pmax[-1])
+
+
+def _assemble(heads, tails):
+    left = _np.repeat(_np.array(heads, dtype=tails[0].dtype), [len(t) for t in tails], axis=0)
+    return _np.hstack((left, _np.concatenate(tails)))
+
+
+def _block_ok(n, k, arcs, lanes):
+    """_walk_ok_py on every row of ``lanes`` (one coloring per row) at once;
+    returns one bool per row.  reach[c, v] holds one uint64 per lane whose
+    bit u says that source u reaches v by a walk ending in color c + 1.
+    Sweeps follow _walk_ok_py's arc order; an arc of color c updates only
+    the lanes where its edge has color c, through an all-ones lane mask."""
+    size = len(lanes)
+    picks = _np.where(lanes.T[:, None, :] == _np.arange(1, k + 1)[:, None],
+                      _np.uint64(2 ** 64 - 1), _np.uint64(0))
+    reach = _np.zeros((k, n, size), dtype=_np.uint64)
+    zero = _np.zeros(size, dtype=_np.uint64)
+    steps = []
+    for a, b, e in zip(*arcs):
+        bit = _np.uint64(1 << a)
+        for c in range(k):
+            others = [reach[c2, a] for c2 in range(k) if c2 != c] or [zero]
+            steps.append((bit, others[0], others[1:], picks[e, c], reach[c, b]))
+    work = _np.empty(size, dtype=_np.uint64)
+    seen = _np.empty_like(reach)
+    while True:
+        seen[...] = reach
+        for bit, first, others, pick, target in steps:
+            _np.bitwise_or(first, bit, out=work)
+            for row in others:
+                _np.bitwise_or(work, row, out=work)
+            _np.bitwise_and(work, pick, out=work)
+            _np.bitwise_or(target, work, out=target)
+        if _np.array_equal(seen, reach):
+            break
+    cover = reach[0]
+    for row in reach[1:]:
+        cover |= row
+    cover |= (_np.uint64(1) << _np.arange(n, dtype=_np.uint64))[:, None]
+    return (cover == _np.uint64((1 << n) - 1)).all(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,39 +274,56 @@ def _arc_arrays(pairs, bidirectional):
     return au, av, ae
 
 
+def _solve(n, pairs, bidirectional, max_k, budgets, accept) -> ExactResult | None:
+    """The level loop behind every solver: the smallest k <= max_k with a
+    canonical coloring of ``pairs`` that passes the walk kernel and
+    ``accept``.  A rejected candidate resumes the search after it."""
+    m = len(pairs)
+    if m == 0:
+        return ExactResult(1, EdgeColoring(1, {}), 1)
+    au, av, ae = _arc_arrays(pairs, bidirectional)
+    total = 0
+    for k in range(1, max_k + 1):
+        limit = _edge_budget(k, budgets)
+        if m > limit:
+            raise BudgetExceededError(k, m, limit)
+        colors = [1] * m
+        maxp = [1] * m
+        skip = False
+        while True:
+            found, explored = _find_pass(n, k, au, av, ae, colors, maxp, skip)
+            total += explored
+            if not found:
+                break
+            witness = EdgeColoring(k, dict(zip(pairs, colors)))
+            if accept(witness):
+                return ExactResult(k, witness, total)
+            skip = True
+    return None
+
+
+def _verified(verifier, graph):
+    """Walk-mode acceptor: the kernel's witness must pass the independent
+    verifier.  A rejection is a kernel fault, raised even under python -O."""
+    def accept(witness):
+        ok, pair = verifier(graph, witness)
+        if not ok:
+            raise AssertionError(f"kernel accepted a coloring the verifier rejects at {pair}")
+        return True
+    return accept
+
+
 def exact_pw(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
     """Smallest k <= max_k admitting an all-pairs properly-colored-walk
     coloring, or None when every level fails.  The witness is re-verified
     with the independent walk verifier before returning."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    if g.m == 0:
-        return ExactResult(1, EdgeColoring(1, {}), 1)
-    au, av, ae = _arc_arrays(g.edges, bidirectional=True)
-    total = 0
-    for k in range(1, max_k + 1):
-        limit = _edge_budget(k, budgets)
-        if g.m > limit:
-            raise BudgetExceededError(k, g.m, limit)
-        colors = [1] * g.m
-        maxp = [1] * g.m
-        found, explored = _find_pass(g.n, k, au, av, ae, colors, maxp, False)
-        total += explored
-        if found:
-            witness = EdgeColoring(k, dict(zip(g.edges, colors)))
-            ok, pair = verify_all_pairs(g, witness)
-            if not ok:
-                raise AssertionError(f"kernel accepted a coloring the verifier rejects at {pair}")
-            return ExactResult(k, witness, total)
-    return None
+    return _solve(g.n, g.edges, True, max_k, budgets, _verified(verify_all_pairs, g))
 
 
 def _paths_all_pairs(g: Graph, coloring: EdgeColoring) -> bool:
-    for u in range(g.n - 1):
-        for v in range(u + 1, g.n):
-            if not path_reachable(g, coloring, u, v):
-                return False
-    return True
+    return all(path_reachable(g, coloring, u, v) for u, v in combinations(range(g.n), 2))
 
 
 def exact_pp(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
@@ -282,27 +336,12 @@ def exact_pp(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
         raise ValueError("graph is not connected")
     if g.n > PATH_VERTEX_LIMIT:
         raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
-    if g.m == 0:
-        return ExactResult(1, EdgeColoring(1, {}), 1)
-    au, av, ae = _arc_arrays(g.edges, bidirectional=True)
-    total = 0
-    for k in range(1, max_k + 1):
-        limit = _edge_budget(k, budgets)
-        if g.m > limit:
-            raise BudgetExceededError(k, g.m, limit)
-        colors = [1] * g.m
-        maxp = [1] * g.m
-        skip = False
-        while True:
-            found, explored = _find_pass(g.n, k, au, av, ae, colors, maxp, skip)
-            total += explored
-            if not found:
-                break
-            witness = EdgeColoring(k, dict(zip(g.edges, colors)))
-            if _paths_all_pairs(g, witness):
-                return ExactResult(k, witness, total)
-            skip = True
-    return None
+    return _solve(g.n, g.edges, True, max_k, budgets, partial(_paths_all_pairs, g))
+
+
+def _paths_all_pairs_directed(d: Digraph, coloring: EdgeColoring) -> bool:
+    return all(path_reachable_directed(d, coloring, u, v)
+               for u in range(d.n) for v in range(d.n) if u != v)
 
 
 def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
@@ -315,33 +354,9 @@ def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
         raise ValueError("digraph is not strongly connected")
     if mode == "path" and d.n > PATH_VERTEX_LIMIT:
         raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
-    if d.m == 0:
-        return ExactResult(1, EdgeColoring(1, {}), 1)
-    au, av, ae = _arc_arrays(d.arcs, bidirectional=False)
-    total = 0
-    for k in range(1, max_k + 1):
-        limit = _edge_budget(k, budgets)
-        if d.m > limit:
-            raise BudgetExceededError(k, d.m, limit)
-        colors = [1] * d.m
-        maxp = [1] * d.m
-        skip = False
-        while True:
-            found, explored = _find_pass(d.n, k, au, av, ae, colors, maxp, skip)
-            total += explored
-            if not found:
-                break
-            witness = EdgeColoring(k, dict(zip(d.arcs, colors)))
-            if mode == "walk":
-                ok, pair = verify_all_pairs_directed(d, witness)
-                if not ok:
-                    raise AssertionError(f"kernel accepted a coloring the verifier rejects at {pair}")
-                return ExactResult(k, witness, total)
-            if all(path_reachable_directed(d, witness, u, v)
-                   for u in range(d.n) for v in range(d.n) if u != v):
-                return ExactResult(k, witness, total)
-            skip = True
-    return None
+    accept = (_verified(verify_all_pairs_directed, d) if mode == "walk"
+              else partial(_paths_all_pairs_directed, d))
+    return _solve(d.n, d.arcs, False, max_k, budgets, accept)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from properwalk import (BudgetExceededError, EdgeColoring, Graph,
+import properwalk.exact as exact
+from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
                         bowtie_digraph, canonical_colorings, complete,
                         connected_bipartite_graphs, connected_graphs, cycle,
                         cycle_with_feet, directed_cycle, exact_directed,
@@ -200,11 +202,143 @@ class TestIterators:
         assert got == expect
 
 
+def scc_digraphs(max_n):
+    """Every strongly connected labeled digraph with 2..max_n vertices."""
+    for n in range(2, max_n + 1):
+        slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for mask in range(1, 1 << len(slots)):
+            d = Digraph(n, [a for i, a in enumerate(slots) if mask >> i & 1])
+            if d.is_strongly_connected():
+                yield d
+
+
+def spider(legs, length):
+    edges, nxt = [], 1
+    for _ in range(legs):
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph(nxt, edges)
+
+
+class TestBlockKernel:
+    """The numpy block kernel against the pure-Python reference kernel."""
+
+    @staticmethod
+    def assert_lanes_match(n, pairs, bidirectional):
+        arcs = exact._arc_arrays(pairs, bidirectional)
+        for k in (1, 2, 3):
+            seqs = list(canonical_colorings(len(pairs), k))
+            lanes = np.array(seqs, dtype=np.uint8).reshape(len(seqs), len(pairs))
+            reach = [[0] * n for _ in range(k + 1)]
+            want = [exact._walk_ok_py(n, k, *arcs, list(s), reach) for s in seqs]
+            assert exact._block_ok(n, k, arcs, lanes).tolist() == want, (pairs, k)
+
+    def test_every_coloring_of_small_graphs(self):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                self.assert_lanes_match(g.n, g.edges, True)
+
+    def test_every_coloring_of_small_digraphs(self):
+        for d in scc_digraphs(3):
+            self.assert_lanes_match(d.n, d.arcs, False)
+
+    def test_blocks_follow_canonical_order(self, monkeypatch):
+        # a kernel that passes one chosen coloring: the search must stop on
+        # it with the count of one-at-a-time enumeration, from any start,
+        # across block boundaries (16 lanes) and prefix boundaries
+        monkeypatch.setattr(exact, "_LANES", 16)
+        monkeypatch.setattr(exact, "_walk_ok_py", lambda *args: False)
+        for m, k in ((7, 2), (9, 2), (6, 3), (7, 3), (6, 4)):
+            seqs = list(canonical_colorings(m, k))
+            for target in range(exact._HEAD, len(seqs), 7):
+                monkeypatch.setattr(exact, "_block_ok", lambda n, k, arcs, lanes, t=seqs[target]:
+                                    (lanes == t).all(axis=1))
+                # a resumed search starts after seqs[start]; every search
+                # checks its first _HEAD candidates in Python
+                last = target - exact._HEAD - 1
+                for start in {0} | {s for s in (1, last // 2, last) if 0 < s <= last}:
+                    colors = list(seqs[start])
+                    maxp = list(accumulate(colors, max))
+                    found, explored = exact._find_pass(2, k, [], [], [], colors, maxp, start > 0)
+                    assert (found, explored) == (True, target - start + (start == 0))
+                    assert tuple(colors) == seqs[target]
+                    assert maxp == list(accumulate(colors, max))
+
+
+def fingerprint(res):
+    if res is None:
+        return None
+    return res.k, res.explored, sorted(res.witness.assignment.items())
+
+
+CWF_REFUTED = [cycle_with_feet(3, legs) for legs in ([3, 3, 2], [3, 3, 3], [4, 3, 3])]
+PP_RESUMED = [Graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)]),
+              Graph(8, [(0, 7), (1, 6), (2, 3), (2, 6), (2, 7), (3, 7), (4, 6), (5, 6), (5, 7)]),
+              Graph(9, [(0, 6), (0, 8), (1, 2), (1, 4), (1, 8), (2, 3), (2, 6), (4, 5),
+                        (4, 7), (4, 8), (7, 8)])]
+DIRECTED_RESUMED = Digraph(5, [(0, 3), (1, 0), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2),
+                               (4, 1), (4, 3)])
+
+
+class TestBlockSearchMatchesPython:
+    """Solvers with the numpy blocks against the same solvers with the
+    pure-Python kernel forced, on searches that run past the Python head."""
+
+    @pytest.fixture
+    def both(self, monkeypatch):
+        calls = []
+        block_ok = exact._block_ok
+        monkeypatch.setattr(exact, "_block_ok", lambda *args: calls.append(1) or block_ok(*args))
+
+        def run(solve):
+            calls.clear()
+            batched = solve()
+            assert calls, "the search never reached the numpy blocks"
+            with monkeypatch.context() as py:
+                py.setattr(exact, "_np", None)
+                reference = solve()
+            return batched, reference
+        return run
+
+    def test_refutations_past_the_head(self, both):
+        # level 2 is refuted in full: compare the whole level's search
+        for g in CWF_REFUTED:
+            assert g.m in (11, 12, 13)
+
+            def level2(g=g):
+                return exact._find_pass(g.n, 2, *exact._arc_arrays(g.edges, True),
+                                        [1] * g.m, [1] * g.m, False)
+            batched, reference = both(level2)
+            assert batched == reference == (False, 2 ** (g.m - 1))
+        batched, reference = both(lambda: exact_pw(CWF_REFUTED[0], max_k=3))
+        assert batched.k == 3 and fingerprint(batched) == fingerprint(reference)
+
+    def test_spider(self, both):
+        g = spider(4, 2)
+        assert g.m == 8
+        batched, reference = both(lambda: exact_pw(g, max_k=4))
+        assert batched.k == 4 and fingerprint(batched) == fingerprint(reference)
+
+    def test_pp_resumes_after_a_path_failure(self, both):
+        for g in PP_RESUMED:
+            batched, reference = both(lambda g=g: exact_pp(g, max_k=3))
+            assert fingerprint(batched) == fingerprint(reference)
+
+    def test_directed_walk_and_path(self, both):
+        # in path mode the first walk-passing coloring fails the path check
+        for mode in ("walk", "path"):
+            batched, reference = both(lambda: exact_directed(DIRECTED_RESUMED, mode))
+            assert fingerprint(batched) == fingerprint(reference)
+
+
 KERNEL_LIES = """
+import numpy
 import properwalk.exact as exact
-from properwalk import cycle
+from properwalk import cycle, cycle_with_feet
 assert not __debug__, "asserts are on"
-exact._njit = None                      # force the pure-Python kernel
+real = exact._walk_ok_py
 exact._walk_ok_py = lambda *args: True  # a kernel that accepts everything
 try:
     exact.exact_pw(cycle(5), max_k=2)
@@ -212,15 +346,48 @@ except AssertionError as exc:
     print("raised:", exc)
 else:
     print("returned")
+# the Python head rejects everything and the block kernel accepts every lane
+exact._walk_ok_py = lambda *args: False
+exact._block_ok = lambda n, k, arcs, lanes: numpy.ones(len(lanes), dtype=bool)
+try:
+    exact.exact_pw(cycle_with_feet(3, [3, 3, 2]), max_k=2)
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    print("returned")
 """
+
+
+def run_snippet(code, *flags):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_kernel_check_survives_python_O():
     """The verifier's veto on a kernel witness is an explicit raise, so it
     still guards exact_pw when python -O strips asserts."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", KERNEL_LIES], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: kernel accepted a coloring the verifier rejects")
+    lines = run_snippet(KERNEL_LIES, "-O").splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith("raised: kernel accepted a coloring the verifier rejects")
+
+
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import properwalk.exact as exact
+from properwalk import cycle_with_feet
+assert exact._np is None
+res = exact.exact_pw(cycle_with_feet(3, [3, 3, 2]), max_k=3)
+print(repr((res.k, res.explored, sorted(res.witness.assignment.items()))))
+"""
+
+
+def test_without_numpy_matches_numpy():
+    res = exact_pw(cycle_with_feet(3, [3, 3, 2]), max_k=3)
+    assert res.explored > exact._HEAD
+    assert run_snippet(WITHOUT_NUMPY).strip() == repr(fingerprint(res))

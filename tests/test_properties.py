@@ -6,8 +6,9 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from properwalk import (Digraph, EdgeColoring, Graph, bipartition, blocks,
-                        bridges, pw_auto, shortest_odd_cycle, verify_all_pairs,
+from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
+                        bipartition, blocks, bridges, exact_pw, pw_auto,
+                        shortest_odd_cycle, verify_all_pairs,
                         verify_all_pairs_directed, walk_reachable,
                         walk_reachable_directed)
 
@@ -83,6 +84,22 @@ def test_pw_auto_invariant_under_relabeling(g, data):
     h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     a, b = pw_auto(g), pw_auto(h)
     assert (a.k, a.status) == (b.k, b.status)
+
+
+def exact_k(g):
+    try:
+        res = exact_pw(g, max_k=max(3, g.max_degree()))
+    except BudgetExceededError as exc:
+        return "budget", exc.k
+    return res.k
+
+
+@PROPERTY
+@given(connected(max_n=7), st.data())
+def test_exact_pw_invariant_under_relabeling(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert exact_k(g) == exact_k(h)
 
 
 @PROPERTY
