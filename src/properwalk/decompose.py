@@ -140,42 +140,25 @@ def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     walk through any vertex is attained on a shortest odd cycle, and a
     globally shortest odd closed walk is necessarily simple.
     """
-    n = g.n
     best_len = None
-    best_start = None
-    for s in range(n):
-        dist = {(s, 0): 0}
-        queue = deque([(s, 0)])
+    for s in range(g.n):
+        parent = {(s, 0): None}
+        queue = deque([(s, 0, 0)])
         while queue:
-            x, par = queue.popleft()
-            d = dist[(x, par)]
+            x, par, d = queue.popleft()
             if best_len is not None and d + 1 >= best_len:
-                continue
+                break               # BFS order: no later state is nearer
             for y in g.neighbors(x):
                 state = (y, par ^ 1)
-                if state not in dist:
-                    dist[state] = d + 1
-                    queue.append(state)
-        d_odd = dist.get((s, 1))
-        if d_odd is not None and (best_len is None or d_odd < best_len):
-            best_len = d_odd
-            best_start = s
+                if state not in parent:
+                    parent[state] = (x, par)
+                    queue.append((y, par ^ 1, d + 1))
+                    if y == s and not par:      # first reach of (s, 1)
+                        best_len, best_start, best_parent = d + 1, s, parent
     if best_len is None:
         return None
 
-    # Rebuild the closed walk from best_start with parent pointers.
-    s = best_start
-    dist = {(s, 0): 0}
-    parent = {(s, 0): None}
-    queue = deque([(s, 0)])
-    while queue:
-        x, par = queue.popleft()
-        for y in g.neighbors(x):
-            state = (y, par ^ 1)
-            if state not in dist:
-                dist[state] = dist[(x, par)] + 1
-                parent[state] = (x, par)
-                queue.append(state)
+    s, parent = best_start, best_parent
     walk = []
     state = (s, 1)
     while state is not None:

@@ -6,14 +6,13 @@ order) is color 1 and each new color index first appears in edge order, which
 removes the k! color-permutation symmetry.  The reported witness is always
 the canonically smallest passing coloring.
 
-The hot loop is a bit-parallel fixpoint: reach[c][v] is the bitmask of source
-vertices that can reach vertex v by a properly colored walk ending in color
-c.  Each search checks its first _HEAD colorings one at a time with the
-pure-Python kernel, the reference.  With numpy and at most 63 vertices, the
-rest of the level goes through a numpy kernel in blocks of consecutive
-colorings, one uint64 lane per coloring; the lowest passing lane is taken,
-so witness and explored count match the one-at-a-time search.  Without
-numpy the whole search is pure Python.
+Each search checks its first _HEAD colorings one at a time with the
+verifiers' all-pairs walk check, one SCC pass over the (vertex, last color)
+states.  With numpy and at most 63 vertices, the rest of the level goes
+through a numpy kernel in blocks of consecutive colorings, one uint64 lane
+per coloring: a bit-parallel fixpoint over the arcs.  The lowest passing
+lane is taken, so witness and explored count match the one-at-a-time
+search.  Without numpy the whole search runs on the SCC pass.
 
 exact_pw, exact_pp and exact_directed share one level loop, _solve, and
 differ only in the acceptor a walk-passing coloring must also satisfy.  The
@@ -28,8 +27,8 @@ from functools import lru_cache, partial
 from itertools import accumulate, combinations, product
 
 from .graphs import Digraph, EdgeColoring, Graph
-from .verify import (path_reachable, path_reachable_directed, verify_all_pairs,
-                     verify_all_pairs_directed)
+from .verify import (_first_failure, path_reachable, path_reachable_directed,
+                     verify_all_pairs, verify_all_pairs_directed)
 
 try:
     import numpy as _np
@@ -38,7 +37,10 @@ except ImportError:        # pragma: no cover - exercised in a subprocess test
 
 
 PATH_VERTEX_LIMIT = 10
-_HEAD = 64          # colorings each search checks in Python before batching
+# Colorings each search checks one at a time before batching: one numpy
+# block of the rest of a level costs as much as about 40 (k = 2) to 80
+# (k = 3) of those checks, median 69, on 6-vertex graphs (2-vCPU x86 VM).
+_HEAD = 64
 _LANES = 1024       # most colorings in one numpy block
 
 
@@ -106,58 +108,27 @@ def canonical_colorings(m: int, max_color: int):
             return
 
 
-def _walk_ok_py(n, k, au, av, ae, colors, reach) -> bool:
-    for c in range(1, k + 1):
-        rc = reach[c]
-        for v in range(n):
-            rc[v] = 0
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(au)):
-            a = au[t]
-            c = colors[ae[t]]
-            avail = 1 << a
-            for c2 in range(1, k + 1):
-                if c2 != c:
-                    avail |= reach[c2][a]
-            rcb = reach[c]
-            b = av[t]
-            if avail & ~rcb[b]:
-                rcb[b] |= avail
-                changed = True
-    full = (1 << n) - 1
-    for v in range(n):
-        cover = 1 << v
-        for c in range(1, k + 1):
-            cover |= reach[c][v]
-        if cover != full:
-            return False
-    return True
-
-
-def _find_pass(n, k, au, av, ae, colors, maxp, skip_current):
+def _find_pass(k, nbrs, colors, maxp, skip_current):
     """Advance through canonical colorings until one passes the all-pairs
     walk check; returns (found, explored) with the witness left in colors
-    and maxp.  The first _HEAD candidates go through _walk_ok_py one at a
-    time, because one numpy block costs about as much as that many Python
-    checks; the rest of the level goes through _search_blocks."""
+    and maxp.  ``nbrs`` is the _neighbor_table of the edges.  The first
+    _HEAD candidates go one at a time through verify's SCC pass; the rest
+    of the level goes through _search_blocks."""
     explored = 0
     if skip_current and not _advance_py(colors, maxp, k):
         return False, explored
-    reach = [[0] * n for _ in range(k + 1)]
     while True:
         explored += 1
-        if _walk_ok_py(n, k, au, av, ae, colors, reach):
+        if _first_failure([[(y, colors[e]) for y, e in row] for row in nbrs], k) is None:
             return True, explored
         if not _advance_py(colors, maxp, k):
             return False, explored
-        if explored == _HEAD and _np is not None and n < 64:
-            found, more = _search_blocks(n, k, (au, av, ae), colors, maxp)
+        if explored == _HEAD and _np is not None and len(nbrs) < 64:
+            found, more = _search_blocks(k, nbrs, colors, maxp)
             return found, explored + more
 
 
-def _search_blocks(n, k, arcs, colors, maxp):
+def _search_blocks(k, nbrs, colors, maxp):
     """Check the canonical colorings from ``colors`` to the end of the level
     in numpy blocks.  Returns (found, explored) like _find_pass: the lowest
     passing lane is the canonically smallest passing coloring, and it is
@@ -171,7 +142,7 @@ def _search_blocks(n, k, arcs, colors, maxp):
     start = int(_np.flatnonzero((table == colors[p:]).all(axis=1))[0])
     explored = 0
     for lanes in _blocks(k, s, colors[:p], maxp[:p], start):
-        ok = _block_ok(n, k, arcs, lanes)
+        ok = _block_ok(k, nbrs, lanes)
         if ok.any():
             lane = int(ok.argmax())
             colors[:] = lanes[lane].tolist()
@@ -221,23 +192,27 @@ def _assemble(heads, tails):
     return _np.hstack((left, _np.concatenate(tails)))
 
 
-def _block_ok(n, k, arcs, lanes):
-    """_walk_ok_py on every row of ``lanes`` (one coloring per row) at once;
-    returns one bool per row.  reach[c, v] holds one uint64 per lane whose
-    bit u says that source u reaches v by a walk ending in color c + 1.
-    Sweeps follow _walk_ok_py's arc order; an arc of color c updates only
-    the lanes where its edge has color c, through an all-ones lane mask."""
+def _block_ok(k, nbrs, lanes):
+    """The all-pairs walk check on every row of ``lanes`` (one coloring of
+    the edges of ``nbrs`` per row) at once; returns one bool per row.
+    reach[c, v] holds one uint64 per lane whose bit u says that source u
+    reaches v by a walk ending in color c + 1.  Each sweep runs over every
+    arc and repeats until no lane changes, so the arc order sets only the
+    number of sweeps; an arc of color c updates only the lanes where its
+    edge has color c, through an all-ones lane mask."""
+    n = len(nbrs)
     size = len(lanes)
     picks = _np.where(lanes.T[:, None, :] == _np.arange(1, k + 1)[:, None],
                       _np.uint64(2 ** 64 - 1), _np.uint64(0))
     reach = _np.zeros((k, n, size), dtype=_np.uint64)
     zero = _np.zeros(size, dtype=_np.uint64)
     steps = []
-    for a, b, e in zip(*arcs):
+    for a, row in enumerate(nbrs):
         bit = _np.uint64(1 << a)
-        for c in range(k):
-            others = [reach[c2, a] for c2 in range(k) if c2 != c] or [zero]
-            steps.append((bit, others[0], others[1:], picks[e, c], reach[c, b]))
+        for b, e in row:
+            for c in range(k):
+                others = [reach[c2, a] for c2 in range(k) if c2 != c] or [zero]
+                steps.append((bit, others[0], others[1:], picks[e, c], reach[c, b]))
     work = _np.empty(size, dtype=_np.uint64)
     seen = _np.empty_like(reach)
     while True:
@@ -261,27 +236,24 @@ def _block_ok(n, k, arcs, lanes):
 # Exact solvers
 # ---------------------------------------------------------------------------
 
-def _arc_arrays(pairs, bidirectional):
-    au, av, ae = [], [], []
-    for i, (u, v) in enumerate(pairs):
-        au.append(u)
-        av.append(v)
-        ae.append(i)
+def _neighbor_table(n, pairs, bidirectional):
+    """nbrs[x] lists (y, edge index) for each edge or arc x -> y of pairs."""
+    nbrs = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        nbrs[u].append((v, e))
         if bidirectional:
-            au.append(v)
-            av.append(u)
-            ae.append(i)
-    return au, av, ae
+            nbrs[v].append((u, e))
+    return nbrs
 
 
 def _solve(n, pairs, bidirectional, max_k, budgets, accept) -> ExactResult | None:
     """The level loop behind every solver: the smallest k <= max_k with a
-    canonical coloring of ``pairs`` that passes the walk kernel and
+    canonical coloring of ``pairs`` that passes the all-pairs walk check and
     ``accept``.  A rejected candidate resumes the search after it."""
     m = len(pairs)
     if m == 0:
         return ExactResult(1, EdgeColoring(1, {}), 1)
-    au, av, ae = _arc_arrays(pairs, bidirectional)
+    nbrs = _neighbor_table(n, pairs, bidirectional)
     total = 0
     for k in range(1, max_k + 1):
         limit = _edge_budget(k, budgets)
@@ -291,7 +263,7 @@ def _solve(n, pairs, bidirectional, max_k, budgets, accept) -> ExactResult | Non
         maxp = [1] * m
         skip = False
         while True:
-            found, explored = _find_pass(n, k, au, av, ae, colors, maxp, skip)
+            found, explored = _find_pass(k, nbrs, colors, maxp, skip)
             total += explored
             if not found:
                 break
@@ -303,8 +275,9 @@ def _solve(n, pairs, bidirectional, max_k, budgets, accept) -> ExactResult | Non
 
 
 def _verified(verifier, graph):
-    """Walk-mode acceptor: the kernel's witness must pass the independent
-    verifier.  A rejection is a kernel fault, raised even under python -O."""
+    """Walk-mode acceptor: the search's witness must pass the public
+    verifier, which shares no code with the numpy block kernel.  A rejection
+    is a kernel fault, raised even under python -O."""
     def accept(witness):
         ok, pair = verifier(graph, witness)
         if not ok:
@@ -316,7 +289,7 @@ def _verified(verifier, graph):
 def exact_pw(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
     """Smallest k <= max_k admitting an all-pairs properly-colored-walk
     coloring, or None when every level fails.  The witness is re-verified
-    with the independent walk verifier before returning."""
+    with verify_all_pairs before returning."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
     return _solve(g.n, g.edges, True, max_k, budgets, _verified(verify_all_pairs, g))

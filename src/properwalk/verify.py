@@ -4,14 +4,16 @@ These are the acceptors every emitted coloring must pass.  Walks live in the
 state digraph whose states are (vertex, color of the edge that entered it):
 state (x, last) steps to (y, col) along every edge x-y of color col != last.
 
-- The all-pairs checks make one pass of Tarjan's strongly connected
-  components algorithm over that digraph (Tarjan 1972).  An SCC closes only
-  after every SCC it points to, so its reach, the set of vertices of the
-  states it can reach, is an n-bit Python int: its own vertices OR the
-  reach of its successor SCCs (transitive closure through the condensation,
-  Purdom 1970).  The pass takes O(k*m) state and arc steps, each arc step
-  at most one OR of n-bit ints, and holds one n-bit int per SCC (at most
-  n*k SCCs, since there are at most n*k states).
+- The all-pairs check, ``_first_failure``, makes one pass of Tarjan's
+  strongly connected components algorithm over that digraph (Tarjan 1972).
+  Both public all-pairs verifiers and the exact search's per-coloring
+  check call it.  An SCC closes only after every SCC it points to, so its
+  reach, the set of vertices of the states it can reach, is an n-bit
+  Python int: its own vertices OR the reach of its successor SCCs
+  (transitive closure through the condensation, Purdom 1970).  The pass
+  takes O(k*m) state and arc steps, each arc step at most one OR of n-bit
+  ints, and holds one n-bit int per SCC (at most n*k SCCs, since there are
+  at most n*k states).
 - The pairwise walk checks run a BFS over the same states and return a
   witness walk.
 - The path variants do exhaustive simple-path search and are guarded to desk
@@ -117,12 +119,25 @@ def verify_all_pairs(g: Graph, c: EdgeColoring) -> tuple[bool, tuple[int, int] |
     if not g.is_connected():
         raise ValueError("graph is not connected")
     c.validate_for(g)
-    full = (1 << g.n) - 1
-    for src, reach in _walk_reach(_colored_adjacency(g, c), c.k, range(g.n - 1)):
-        missing = (full ^ reach) >> (src + 1)
+    pair = _first_failure(_colored_adjacency(g, c), c.k)
+    return pair is None, pair
+
+
+def _first_failure(adj, k):
+    """The lexicographically first ordered pair (src, v) with no properly
+    colored walk from src to v, or None when every pair has one.
+
+    ``adj`` is a colored adjacency as ``_walk_reach`` takes it, of a graph
+    (both directions of each edge) or of a digraph.  On a graph, walks
+    reverse: by the time src is read, every u < src has reached src, so
+    src reaches u, and the pair found has src < v.
+    """
+    full = (1 << len(adj)) - 1
+    for src, reach in _walk_reach(adj, k, range(len(adj))):
+        missing = full ^ reach
         if missing:
-            return False, (src, src + 1 + _lowest_bit(missing))
-    return True, None
+            return src, _lowest_bit(missing)
+    return None
 
 
 def _walk_reach(adj, k, sources):
@@ -248,12 +263,8 @@ def verify_all_pairs_directed(d: Digraph, c: EdgeColoring) -> tuple[bool, tuple[
     failure returns the lexicographically first failing ordered pair.
     """
     c.validate_for(d)
-    full = (1 << d.n) - 1
-    for src, reach in _walk_reach(_colored_out_adjacency(d, c), c.k, range(d.n)):
-        missing = full ^ reach
-        if missing:
-            return False, (src, _lowest_bit(missing))
-    return True, None
+    pair = _first_failure(_colored_out_adjacency(d, c), c.k)
+    return pair is None, pair
 
 
 def path_reachable_directed(d: Digraph, c: EdgeColoring, u: int, v: int) -> bool:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -223,17 +224,18 @@ def spider(legs, length):
 
 
 class TestBlockKernel:
-    """The numpy block kernel against the pure-Python reference kernel."""
+    """The numpy block kernel against the per-coloring check, verify's SCC
+    pass, lane by lane."""
 
     @staticmethod
     def assert_lanes_match(n, pairs, bidirectional):
-        arcs = exact._arc_arrays(pairs, bidirectional)
+        nbrs = exact._neighbor_table(n, pairs, bidirectional)
         for k in (1, 2, 3):
             seqs = list(canonical_colorings(len(pairs), k))
             lanes = np.array(seqs, dtype=np.uint8).reshape(len(seqs), len(pairs))
-            reach = [[0] * n for _ in range(k + 1)]
-            want = [exact._walk_ok_py(n, k, *arcs, list(s), reach) for s in seqs]
-            assert exact._block_ok(n, k, arcs, lanes).tolist() == want, (pairs, k)
+            want = [exact._first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None
+                    for s in seqs]
+            assert exact._block_ok(k, nbrs, lanes).tolist() == want, (pairs, k)
 
     def test_every_coloring_of_small_graphs(self):
         for n in range(1, 6):
@@ -249,11 +251,11 @@ class TestBlockKernel:
         # it with the count of one-at-a-time enumeration, from any start,
         # across block boundaries (16 lanes) and prefix boundaries
         monkeypatch.setattr(exact, "_LANES", 16)
-        monkeypatch.setattr(exact, "_walk_ok_py", lambda *args: False)
+        monkeypatch.setattr(exact, "_first_failure", lambda *args: (0, 1))
         for m, k in ((7, 2), (9, 2), (6, 3), (7, 3), (6, 4)):
             seqs = list(canonical_colorings(m, k))
             for target in range(exact._HEAD, len(seqs), 7):
-                monkeypatch.setattr(exact, "_block_ok", lambda n, k, arcs, lanes, t=seqs[target]:
+                monkeypatch.setattr(exact, "_block_ok", lambda k, nbrs, lanes, t=seqs[target]:
                                     (lanes == t).all(axis=1))
                 # a resumed search starts after seqs[start]; every search
                 # checks its first _HEAD candidates in Python
@@ -261,7 +263,7 @@ class TestBlockKernel:
                 for start in {0} | {s for s in (1, last // 2, last) if 0 < s <= last}:
                     colors = list(seqs[start])
                     maxp = list(accumulate(colors, max))
-                    found, explored = exact._find_pass(2, k, [], [], [], colors, maxp, start > 0)
+                    found, explored = exact._find_pass(k, [[], []], colors, maxp, start > 0)
                     assert (found, explored) == (True, target - start + (start == 0))
                     assert tuple(colors) == seqs[target]
                     assert maxp == list(accumulate(colors, max))
@@ -284,7 +286,8 @@ DIRECTED_RESUMED = Digraph(5, [(0, 3), (1, 0), (2, 3), (2, 4), (3, 0), (3, 1), (
 
 class TestBlockSearchMatchesPython:
     """Solvers with the numpy blocks against the same solvers with the
-    pure-Python kernel forced, on searches that run past the Python head."""
+    one-at-a-time SCC-pass search forced, on searches that run past the
+    head."""
 
     @pytest.fixture
     def both(self, monkeypatch):
@@ -308,7 +311,7 @@ class TestBlockSearchMatchesPython:
             assert g.m in (11, 12, 13)
 
             def level2(g=g):
-                return exact._find_pass(g.n, 2, *exact._arc_arrays(g.edges, True),
+                return exact._find_pass(2, exact._neighbor_table(g.n, g.edges, True),
                                         [1] * g.m, [1] * g.m, False)
             batched, reference = both(level2)
             assert batched == reference == (False, 2 ** (g.m - 1))
@@ -338,8 +341,7 @@ import numpy
 import properwalk.exact as exact
 from properwalk import cycle, cycle_with_feet
 assert not __debug__, "asserts are on"
-real = exact._walk_ok_py
-exact._walk_ok_py = lambda *args: True  # a kernel that accepts everything
+exact._first_failure = lambda *args: None  # a head that accepts everything
 try:
     exact.exact_pw(cycle(5), max_k=2)
 except AssertionError as exc:
@@ -347,8 +349,8 @@ except AssertionError as exc:
 else:
     print("returned")
 # the Python head rejects everything and the block kernel accepts every lane
-exact._walk_ok_py = lambda *args: False
-exact._block_ok = lambda n, k, arcs, lanes: numpy.ones(len(lanes), dtype=bool)
+exact._first_failure = lambda *args: (0, 1)
+exact._block_ok = lambda k, nbrs, lanes: numpy.ones(len(lanes), dtype=bool)
 try:
     exact.exact_pw(cycle_with_feet(3, [3, 3, 2]), max_k=2)
 except AssertionError as exc:
@@ -391,3 +393,14 @@ def test_without_numpy_matches_numpy():
     res = exact_pw(cycle_with_feet(3, [3, 3, 2]), max_k=3)
     assert res.explored > exact._HEAD
     assert run_snippet(WITHOUT_NUMPY).strip() == repr(fingerprint(res))
+
+
+def test_oracle_imports_no_construction_code():
+    """The oracle that tests the paper's theorems must not lean on the code
+    that implements them: exact.py imports only .graphs and .verify."""
+    tree = ast.parse(Path(exact.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.startswith("properwalk")]
+    assert relative == {"graphs", "verify"} and not absolute
