@@ -393,18 +393,32 @@ def _theta_arcs(t: ThetaSubgraph):
 
 
 def _check_theta(g: Graph, t: ThetaSubgraph) -> None:
+    """Raise AssertionError, also under python -O, unless t is a theta
+    subgraph of g: the descent builds every coloring of a theta block on it."""
     cyc, inv = t.cycle, t.inverter
-    assert len(cyc) % 2 == 0 and len(cyc) >= 4
-    assert len(set(cyc)) == len(cyc)
-    assert len(set(inv)) == len(inv) and len(inv) >= 2
+
+    def fail(why):
+        raise AssertionError(f"not a theta subgraph: {why}")
+
+    if len(cyc) % 2 or len(cyc) < 4:
+        fail(f"outer cycle has odd length or fewer than 4 vertices: {cyc}")
+    if len(set(cyc)) != len(cyc):
+        fail(f"outer cycle repeats a vertex: {cyc}")
+    if len(set(inv)) != len(inv) or len(inv) < 2:
+        fail(f"inverter repeats a vertex or has fewer than 2: {inv}")
     for x, y in _cycle_edge_list(cyc):
-        assert g.has_edge(x, y), f"outer cycle edge ({x}, {y}) missing"
+        if not g.has_edge(x, y):
+            fail(f"outer cycle edge ({x}, {y}) missing")
     for i in range(len(inv) - 1):
-        assert g.has_edge(inv[i], inv[i + 1]), "inverter is not a path"
-    assert t.u in cyc and t.v in cyc
-    assert not (set(inv[1:-1]) & set(cyc)), "inverter interior meets the cycle"
+        if not g.has_edge(inv[i], inv[i + 1]):
+            fail(f"inverter edge ({inv[i]}, {inv[i + 1]}) missing")
+    if t.u not in cyc or t.v not in cyc:
+        fail(f"inverter ends {t.u} and {t.v} are not both on the outer cycle")
+    if set(inv[1:-1]) & set(cyc):
+        fail("inverter interior meets the outer cycle")
     arc1, _ = _theta_arcs(t)
-    assert (len(inv) - 1 + len(arc1) - 1) % 2 == 1, "theta must be nonbipartite"
+    if (len(inv) - 1 + len(arc1) - 1) % 2 == 0:
+        fail("inverter and outer arc close an even cycle, so the theta is bipartite")
 
 
 _THETA_MAX_ROUNDS = 10000

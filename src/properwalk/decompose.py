@@ -136,40 +136,109 @@ def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     """A shortest odd cycle as a vertex tuple, or None if the graph is
     bipartite.
 
-    BFS in the parity double cover from every vertex: the shortest odd closed
-    walk through any vertex is attained on a shortest odd cycle, and a
-    globally shortest odd closed walk is necessarily simple.
-    """
-    best_len = None
-    for s in range(g.n):
-        parent = {(s, 0): None}
-        queue = deque([(s, 0, 0)])
-        while queue:
-            x, par, d = queue.popleft()
-            if best_len is not None and d + 1 >= best_len:
-                break               # BFS order: no later state is nearer
-            for y in g.neighbors(x):
-                state = (y, par ^ 1)
-                if state not in parent:
-                    parent[state] = (x, par)
-                    queue.append((y, par ^ 1, d + 1))
-                    if y == s and not par:      # first reach of (s, 1)
-                        best_len, best_start, best_parent = d + 1, s, parent
-    if best_len is None:
-        return None
+    The cycle is read from a BFS over the parity double cover, whose states
+    are (vertex, parity of the walk so far): the first walk from (s, 0) to
+    (s, 1) is a shortest odd closed walk through s.  Let L be the odd girth.
+    A closed odd walk of length L is a simple cycle, since a repeated vertex
+    would split it into two closed walks, one of them odd and shorter.  The
+    answer is the cycle that BFS gives from the lowest start s whose shortest
+    odd closed walk has length L, found in two steps.
 
-    s, parent = best_start, best_parent
+    1. The odd girth.  Each component is laid out in BFS layers from its
+       lowest vertex.  An edge between adjacent layers changes the layer
+       parity and a closed walk changes it an even number of times, so every
+       odd cycle has an edge inside one layer.  A shortest odd cycle thus
+       passes through an endpoint of such an edge, and L is the least
+       length found by the double-cover BFS from those endpoints, each run
+       cut off at the best length so far.  With no such edge the graph is
+       bipartite, and no BFS runs at all: O(n + m).
+    2. The start.  s = 0, 1, ... is tried in turn, with the BFS cut off at
+       depth L, and the first s that reaches (s, 1) is the start.  Its run
+       stops at that first reach, so the parent map holds exactly what an
+       uncut BFS from s holds at that moment.  A search that tries every
+       start in turn, each run cut off at the best length so far, also
+       keeps the first start that attains L and reads its cycle from the
+       same parent map, so the two return the same cycle.
+
+    Step 1 runs few BFS: on a long odd cycle two endpoints, on dense graphs
+    a short L cuts every run early.  Step 2 costs one BFS of depth L per
+    vertex below the start, so the worst case stays O(n*m), the classic
+    bound for shortest cycles (Itai and Rodeh 1978): a long odd cycle on
+    the highest vertex ids joined to a dense bipartite block on the lowest
+    ones, for instance, makes every block vertex's run cover the block.
+    """
+    ends = _intra_layer_ends(g)
+    if not ends:
+        return None
+    limit = 2 * g.n             # beyond any shortest odd closed walk
+    for v in ends:
+        found = _odd_walk(g, v, limit)
+        if found is not None:
+            girth = found[0]
+            limit = girth - 2
+            if limit < 3:       # no odd cycle is shorter than a triangle
+                break
+    for s in range(g.n):
+        found = _odd_walk(g, s, girth)
+        if found is not None:
+            break
+    parent = found[1]
     walk = []
-    state = (s, 1)
+    state = 2 * s + 1
     while state is not None:
-        walk.append(state[0])
+        walk.append(state >> 1)
         state = parent[state]
     walk.reverse()              # s .. s, odd number of edges
     cyc = tuple(walk[:-1])
-    if (len(cyc) != best_len or len(set(cyc)) != len(cyc)
+    if (len(cyc) != girth or len(set(cyc)) != len(cyc)
             or not all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))):
         raise AssertionError(f"shortest odd closed walk {cyc} is not an odd cycle")
     return cyc
+
+
+def _intra_layer_ends(g: Graph) -> list[int]:
+    """The endpoints of the edges inside one BFS layer, in order, with each
+    component laid out in layers from its lowest vertex."""
+    depth = [-1] * g.n
+    ends = set()
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for x in queue:
+            for y in g.neighbors(x):
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
+                    queue.append(y)
+                elif depth[y] == depth[x]:
+                    ends.add(x)
+    return sorted(ends)
+
+
+def _odd_walk(g: Graph, s: int, limit: int):
+    """BFS over the parity double cover from (s, 0), one depth at a time,
+    up to its first reach of (s, 1).  Returns (depth, parent), where parent
+    maps each state 2x + parity reached to the state it was reached from,
+    or None when (s, 1) is more than ``limit`` steps away."""
+    home = 2 * s + 1
+    parent = {2 * s: None}
+    frontier = [2 * s]
+    depth = 0
+    while frontier and depth < limit:
+        depth += 1
+        reached = []
+        for state in frontier:
+            x, flip = state >> 1, (state & 1) ^ 1
+            for y in g.neighbors(x):
+                t = 2 * y + flip
+                if t not in parent:
+                    parent[t] = state
+                    if t == home:
+                        return depth, parent
+                    reached.append(t)
+        frontier = reached
+    return None
 
 
 # ---------------------------------------------------------------------------

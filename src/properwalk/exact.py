@@ -27,8 +27,8 @@ from functools import lru_cache, partial
 from itertools import accumulate, combinations, product
 
 from .graphs import Digraph, EdgeColoring, Graph
-from .verify import (_first_failure, path_reachable, path_reachable_directed,
-                     verify_all_pairs, verify_all_pairs_directed)
+from .verify import (_colored_adjacency, _colored_out_adjacency, _first_failure,
+                     _path_dfs, verify_all_pairs, verify_all_pairs_directed)
 
 try:
     import numpy as _np
@@ -296,7 +296,11 @@ def exact_pw(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
 
 
 def _paths_all_pairs(g: Graph, coloring: EdgeColoring) -> bool:
-    return all(path_reachable(g, coloring, u, v) for u, v in combinations(range(g.n), 2))
+    """Path-mode acceptor: a properly colored simple path joins every pair,
+    by verify's simple-path DFS over one colored adjacency."""
+    coloring.validate_for(g)
+    adj = _colored_adjacency(g, coloring)
+    return all(_path_dfs(adj, u, v, 1 << u, 0) for u, v in combinations(range(g.n), 2))
 
 
 def exact_pp(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
@@ -313,7 +317,9 @@ def exact_pp(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
 
 
 def _paths_all_pairs_directed(d: Digraph, coloring: EdgeColoring) -> bool:
-    return all(path_reachable_directed(d, coloring, u, v)
+    coloring.validate_for(d)
+    adj = _colored_out_adjacency(d, coloring)
+    return all(_path_dfs(adj, u, v, 1 << u, 0)
                for u in range(d.n) for v in range(d.n) if u != v)
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from properwalk import (ConditionViolation, Graph, ThetaSubgraph, TwoOddLayout,
@@ -238,6 +243,33 @@ class TestReduceTheta:
         assert sorted(out.cycle_b) == [0, 1, 2]
         assert color_two_odd_cycles2(g, out).k == 2
         assert color_theta_block2(g).k == 2
+
+    def test_broken_theta_rejected_under_python_O(self):
+        # every theta the descent builds is checked before a coloring is
+        # assembled on it, so the check must not be an assert
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = ("from properwalk import Graph, ThetaSubgraph, theta\n"
+                "from properwalk.construct import _check_theta\n"
+                "g = theta(2, 2, 1)\n"       # outer 0-1-2-3, chord 0-2
+                "h = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])\n"
+                "for graph, t in [(g, ThetaSubgraph((0, 1, 2), (0, 2))),\n"
+                "                 (g, ThetaSubgraph((0, 1, 2, 3), (1, 3))),\n"
+                "                 (h, ThetaSubgraph(tuple(range(6)), (0, 3))),\n"
+                "                 (g, ThetaSubgraph((0, 1, 2, 3), (0, 2)))]:\n"
+                "    try:\n        _check_theta(graph, t)\n"
+                "    except AssertionError as exc:\n        print('raised:', exc)\n"
+                "    else:\n        print('passed')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: not a theta subgraph: outer cycle has odd length or fewer than 4 vertices: (0, 1, 2)",
+            "raised: not a theta subgraph: inverter edge (1, 3) missing",
+            "raised: not a theta subgraph: inverter and outer arc close an even cycle,"
+            " so the theta is bipartite",
+            "passed",
+        ]
 
 
 class TestColorThetaBlock2:

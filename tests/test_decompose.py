@@ -1,7 +1,10 @@
+import random
 from collections import deque
 
+import networkx as nx
 import pytest
 
+from properwalk import decompose
 from properwalk import (Graph, bipartition, blocks, bridgeless_core, bridges,
                         complete, connected_graphs, contract_core_graph,
                         cycle, disjoint_odd_cycles, meets_two_bridge_rule,
@@ -32,6 +35,57 @@ def connects_without(g, e):
             seen.add(y)
             queue.append(y)
     return v in seen
+
+
+def all_starts_odd_cycle(g):
+    """Reference for shortest_odd_cycle: a BFS over the parity double cover
+    from every vertex in turn, each cut off at the best length so far,
+    keeping the first start that attains it.  O(n*m), with no pruning of
+    starts."""
+    best_len = None
+    for s in range(g.n):
+        parent = {(s, 0): None}
+        queue = deque([(s, 0, 0)])
+        while queue:
+            x, par, d = queue.popleft()
+            if best_len is not None and d + 1 >= best_len:
+                break
+            for y in g.neighbors(x):
+                state = (y, par ^ 1)
+                if state not in parent:
+                    parent[state] = (x, par)
+                    queue.append((y, par ^ 1, d + 1))
+                    if y == s and not par:
+                        best_len, best_start, best_parent = d + 1, s, parent
+    if best_len is None:
+        return None
+    walk = []
+    state = (best_start, 1)
+    while state is not None:
+        walk.append(state[0])
+        state = best_parent[state]
+    walk.reverse()
+    return tuple(walk[:-1])
+
+
+def grid(rows, cols):
+    return Graph(rows * cols, [(r * cols + c, r * cols + c + 1)
+                               for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c)
+                    for r in range(rows - 1) for c in range(cols)])
+
+
+def count_walks(monkeypatch):
+    """Count the double-cover BFS runs shortest_odd_cycle makes."""
+    runs = []
+    inner = decompose._odd_walk
+
+    def counted(g, s, limit):
+        runs.append(s)
+        return inner(g, s, limit)
+
+    monkeypatch.setattr(decompose, "_odd_walk", counted)
+    return runs
 
 
 class TestBridges:
@@ -161,6 +215,54 @@ class TestShortestOddCycle:
                                    for i in range(size)):
                                 raise AssertionError(f"shorter odd cycle {order} in {g.edges}")
 
+
+    def test_matches_all_starts_on_atlas(self):
+        # every graph with at most 7 vertices, connected or not
+        for G in nx.graph_atlas_g():
+            if G.number_of_nodes():
+                g = Graph(G.number_of_nodes(), list(G.edges()))
+                assert shortest_odd_cycle(g) == all_starts_odd_cycle(g), g.edges
+
+    def test_matches_all_starts_on_random_graphs(self):
+        rng = random.Random(2016)
+        for _ in range(600):
+            n = rng.randint(2, 120)
+            p = rng.choice((1.5, 2.5, 4, 8)) / n
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            half, _ = g.induced(sorted(rng.sample(range(n), n // 2)))
+            for h in (g, half):
+                assert shortest_odd_cycle(h) == all_starts_odd_cycle(h), (h.n, h.edges)
+
+    def test_matches_all_starts_on_families(self):
+        graphs = [cycle(n) for n in range(3, 42, 2)]
+        graphs += [theta(a, b, p) for a, b, p in
+                   ((2, 2, 1), (3, 3, 2), (5, 7, 4), (9, 9, 10), (20, 22, 7))]
+        for length in (10, 41):
+            # a triangle on the highest ids, behind a long path from vertex 0
+            graphs.append(Graph(length + 3, [(i, i + 1) for i in range(length + 2)]
+                                + [(length, length + 2)]))
+        for a in (3, 6):
+            # K_{a,a} on the lowest ids and C_15 on the highest, joined from
+            # a - 2 and a - 1: every block vertex below a - 2 is scanned first
+            graphs.append(Graph(2 * a + 15, [(u, a + v) for u in range(a) for v in range(a)]
+                                + [(2 * a + i, 2 * a + (i + 1) % 15) for i in range(15)]
+                                + [(a - 2, 2 * a), (a - 1, 2 * a + 7)]))
+        for g in graphs:
+            assert shortest_odd_cycle(g) == all_starts_odd_cycle(g), g.edges
+
+    def test_bipartite_runs_no_odd_walk(self, monkeypatch):
+        runs = count_walks(monkeypatch)
+        for g in (cycle(40), grid(7, 9), path_graph(5), Graph(3)):
+            assert shortest_odd_cycle(g) is None
+        assert runs == []
+
+    def test_long_odd_cycle_runs_three_walks(self, monkeypatch):
+        # the one edge inside a BFS layer of C_101 joins 50 and 51: one run
+        # from each finds the girth, and start 0 attains it
+        runs = count_walks(monkeypatch)
+        assert len(shortest_odd_cycle(cycle(101))) == 101
+        assert runs == [50, 51, 0]
 
 class TestTwoDisjointPaths:
     def test_complete4(self):
