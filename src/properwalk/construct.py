@@ -289,7 +289,7 @@ def color_two_odd_cycles2(g: Graph, layout: TwoOddLayout) -> ColoringResult:
     elsewhere; the connector alternates starting blue; the far cycle gets
     both junction edges red for an odd connector and blue otherwise, again
     alternating elsewhere.  Every vertex of the union then touches both
-    colors, which is asserted.
+    colors, which is checked.
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
@@ -312,8 +312,8 @@ def color_two_odd_cycles2(g: Graph, layout: TwoOddLayout) -> ColoringResult:
     for (x, y), col in list(assignment.items()):
         seen_colors[x].add(col)
         seen_colors[y].add(col)
-    assert all(seen_colors[v] == {1, 2} for v in hub), \
-        "every vertex of the two-cycle union must touch both colors"
+    if any(seen_colors[v] != {1, 2} for v in hub):
+        raise AssertionError("every vertex of the two-cycle union must touch both colors")
 
     parent, order = _bfs_forest(g, hub)
     branch_color = {}
@@ -481,7 +481,8 @@ def _reduce_theta(g: Graph, soc: tuple[int, ...], max_rounds: int = _THETA_MAX_R
             # edge-disjoint from the stray odd cycle.
             arc = min(_theta_arcs(theta))
             second = p + tuple(reversed(arc[1:-1]))
-            assert len(second) % 2 == 1
+            if len(second) % 2 == 0:
+                raise AssertionError(f"escape cycle {second} has even length")
             return layout_from_cycles(g, odd, second)
 
         theta = _descend(g, theta, odd)
@@ -496,7 +497,8 @@ def _descend(g: Graph, theta: ThetaSubgraph, odd) -> ThetaSubgraph:
     p_edges = {canonical_edge(p[i], p[i + 1]) for i in range(len(p) - 1)}
     length = len(odd)
     contacts = [i for i, x in enumerate(odd) if x in pos]
-    assert len(contacts) >= 2, "stray cycle shares an edge but not two inverter vertices"
+    if len(contacts) < 2:
+        raise AssertionError("stray cycle shares an edge but not two inverter vertices")
 
     chosen = None
     for idx in range(len(contacts)):
@@ -511,7 +513,8 @@ def _descend(g: Graph, theta: ThetaSubgraph, odd) -> ThetaSubgraph:
         if (len(seg) - 1 + span) % 2 == 1:
             chosen = seg
             break
-    assert chosen is not None, "some segment must close an odd cycle with the inverter"
+    if chosen is None:
+        raise AssertionError("some segment must close an odd cycle with the inverter")
 
     if pos[chosen[0]] > pos[chosen[-1]]:
         chosen = list(reversed(chosen))
@@ -524,7 +527,8 @@ def _descend(g: Graph, theta: ThetaSubgraph, odd) -> ThetaSubgraph:
              + p[1:pos[x]])
     new_theta = ThetaSubgraph(outer, new_inverter)
     _check_theta(g, new_theta)
-    assert len(new_inverter) < len(p)
+    if len(new_inverter) >= len(p):
+        raise AssertionError(f"descent did not shorten the inverter {p}")
     return new_theta
 
 
@@ -558,19 +562,22 @@ def _assemble_theta_coloring(g: Graph, theta: ThetaSubgraph,
     p = theta.inverter
     ell = len(p) - 1
     if ell == 1:
-        assert not inner_b
+        if inner_b:
+            raise AssertionError("a one-edge inverter leaves no vertex off the outer cycle")
         assignment[canonical_edge(p[0], p[1])] = 1 + hphase
     elif not inner_b:
         for j in range(ell):
             assignment[canonical_edge(p[j], p[j + 1])] = 1 + ((j + hphase) % 2)
     else:
-        assert ell >= 3, "inner vertices need at least two interior contact points"
+        if ell < 3:
+            raise AssertionError("inner vertices need at least two interior contact points")
         hverts = sorted(interior | inner_b)
         sub, old = g.induced(hverts)
         new_id = {o: i for i, o in enumerate(old)}
         oriented = path_anchored_orientation(sub, [new_id[x] for x in theta.interior])
         classes = bipartition(sub)
-        assert classes is not None, "region off the outer cycle must be bipartite after descent"
+        if classes is None:
+            raise AssertionError("region off the outer cycle must be bipartite after descent")
         for a, b in oriented.arcs.arcs:
             col = 1 + ((0 if b in classes[0] else 1) + hphase) % 2
             assignment[canonical_edge(old[a], old[b])] = col
@@ -640,7 +647,8 @@ def _bridgeless2(g: Graph, dec: Decomposition) -> ColoringResult:
 
     if not odd:
         inner = _bipartite2(g, dec)
-        assert isinstance(inner, ColoringResult), "bridgeless graphs have no bridge rule to violate"
+        if not isinstance(inner, ColoringResult):
+            raise AssertionError("bridgeless graphs have no bridge rule to violate")
         return ColoringResult(2, inner.coloring, "exact", "bridgeless: bipartite")
 
     blk, cyc = odd[0]
@@ -663,7 +671,8 @@ def _bridgeless2(g: Graph, dec: Decomposition) -> ColoringResult:
             continue
         osub, oold = g.induced(other)
         oclasses = bipartition(osub)
-        assert oclasses is not None
+        if oclasses is None:
+            raise AssertionError("every block but the one odd block must be bipartite")
         class_of = {oold[x]: (0 if x in oclasses[0] else 1) for x in range(osub.n)}
         assignment.update(_head_colored_component(g, other, class_of))
     return _finalize(g, assignment, 2, "exact", "bridgeless: one odd block")
@@ -747,7 +756,8 @@ def color_cycle_feet2(g: Graph, shape: CycleFeetShape) -> ColoringResult:
     rc = rotate_cycle(shape.cycle, v)
     if rc[1] != w:
         rc = rotate_cycle(tuple(reversed(shape.cycle)), v)
-    assert rc[1] == w and rc[-1] == u
+    if rc[1] != w or rc[-1] != u:
+        raise ValueError(f"witness {shape.witness} is not a path u-v-w on the cycle")
     length = len(rc)
     assignment = {}
     for i, (x, y) in enumerate(_cycle_edge_list(rc)):
@@ -758,7 +768,8 @@ def color_cycle_feet2(g: Graph, shape: CycleFeetShape) -> ColoringResult:
             continue
         anchor = g.neighbors(foot)[0]
         col = 2 if anchor == v else 1
-        assert anchor in (u, v, w)
+        if anchor not in (u, v, w):
+            raise ValueError(f"foot {foot} hangs off {anchor}, outside the witness triple")
         assignment[canonical_edge(foot, anchor)] = col
     return _finalize(g, assignment, 2, "exact", "cycle with feet")
 

@@ -14,6 +14,12 @@ per coloring: a bit-parallel fixpoint over the arcs.  The lowest passing
 lane is taken, so witness and explored count match the one-at-a-time
 search.  Without numpy the whole search runs on the SCC pass.
 
+Before either check, a coloring that strands a leaf is rejected: if x has
+a single edge or arc e, to y, and every other edge leaving y has e's color,
+then a walk from x must leave y along a color other than e's and cannot,
+so with n >= 3 some vertex is unreachable from x.  This follows from the
+definition of a walk alone.
+
 exact_pw, exact_pp and exact_directed share one level loop, _solve, and
 differ only in the acceptor a walk-passing coloring must also satisfy.  The
 solver uses no theorem about the answer.
@@ -38,8 +44,9 @@ except ImportError:        # pragma: no cover - exercised in a subprocess test
 
 PATH_VERTEX_LIMIT = 10
 # Colorings each search checks one at a time before batching: one numpy
-# block of the rest of a level costs as much as about 40 (k = 2) to 80
-# (k = 3) of those checks, median 69, on 6-vertex graphs (2-vCPU x86 VM).
+# block of the rest of a level, leaf filter included, costs as much as about
+# 53 (k = 2) to 77 (k = 3) of those checks, median 72, on 6-vertex graphs
+# (2-vCPU x86 VM).
 _HEAD = 64
 _LANES = 1024       # most colorings in one numpy block
 
@@ -73,8 +80,9 @@ class ExactResult:
 # Canonical enumeration
 # ---------------------------------------------------------------------------
 
-def _advance_py(colors, maxp, k) -> bool:
-    """Step to the next canonical coloring in lexicographic order."""
+def _advance_py(colors, maxp, k) -> int:
+    """Step to the next canonical coloring in lexicographic order; returns
+    the lowest index it changed (at least 1), or 0 when the level ends."""
     m = len(colors)
     i = m - 1
     while i >= 1:
@@ -88,9 +96,9 @@ def _advance_py(colors, maxp, k) -> bool:
             for j in range(i + 1, m):
                 colors[j] = 1
                 maxp[j] = mp
-            return True
+            return i
         i -= 1
-    return False
+    return 0
 
 
 def canonical_colorings(m: int, max_color: int):
@@ -108,31 +116,89 @@ def canonical_colorings(m: int, max_color: int):
             return
 
 
-def _find_pass(k, nbrs, colors, maxp, skip_current):
+def _find_pass(k, nbrs, dead, colors, maxp, skip_current):
     """Advance through canonical colorings until one passes the all-pairs
     walk check; returns (found, explored) with the witness left in colors
-    and maxp.  ``nbrs`` is the _neighbor_table of the edges.  The first
-    _HEAD candidates go one at a time through verify's SCC pass; the rest
-    of the level goes through _search_blocks."""
+    and maxp.  ``nbrs`` is the _neighbor_table of the edges and ``dead``
+    their _dead_ends table.  The first _HEAD candidates go one at a time
+    through verify's SCC pass; the rest of the level goes through
+    _search_blocks.
+
+    A candidate that strands a leaf fails without the SCC pass, and still
+    counts as explored: a walk from x, whose only edge or arc e runs to y,
+    enters y along e and must leave y along a color other than e's, so if
+    every other edge leaving y has e's color it reaches only x and y, and
+    n >= 3.  The colored adjacency is built once per call; before each SCC
+    pass only the entries of the edges changed since the last one are
+    rewritten."""
     explored = 0
     if skip_current and not _advance_py(colors, maxp, k):
         return False, explored
+    adj = [[] for _ in nbrs]
+    slots = [[] for _ in colors]    # slots[e]: (row, position, head) of e's entries
+    for row, out in zip(nbrs, adj):
+        for y, e in row:
+            slots[e].append((out, len(out), y))
+            out.append((y, colors[e]))
+    m = len(colors)
+    stale = m                       # the entries of edges from here on are stale
     while True:
         explored += 1
-        if _first_failure([[(y, colors[e]) for y, e in row] for row in nbrs], k) is None:
-            return True, explored
-        if not _advance_py(colors, maxp, k):
+        if not _strands_leaf(dead, colors):
+            for e in range(stale, m):
+                c = colors[e]
+                for out, j, y in slots[e]:
+                    out[j] = (y, c)
+            stale = m
+            if _first_failure(adj, k) is None:
+                return True, explored
+        low = _advance_py(colors, maxp, k)
+        if not low:
             return False, explored
+        if low < stale:
+            stale = low
         if explored == _HEAD and _np is not None and len(nbrs) < 64:
-            found, more = _search_blocks(k, nbrs, colors, maxp)
+            found, more = _search_blocks(k, nbrs, dead, colors, maxp)
             return found, explored + more
 
 
-def _search_blocks(k, nbrs, colors, maxp):
+def _dead_ends(nbrs):
+    """(e, others) for each vertex x whose only entry in ``nbrs`` is (y, e):
+    a leaf, or a vertex of out-degree 1.  ``others`` lists the other edges
+    or arcs leaving y.  A coloring that gives all of them e's color fails
+    when n >= 3 (see _find_pass), so the table is empty when n < 3."""
+    if len(nbrs) < 3:
+        return []
+    return [(e, [f for _, f in nbrs[y] if f != e])
+            for row in nbrs if len(row) == 1 for y, e in row]
+
+
+def _strands_leaf(dead, colors) -> bool:
+    """Does some entry of the _dead_ends table fail under colors?"""
+    for e, others in dead:
+        c = colors[e]
+        for f in others:
+            if colors[f] != c:
+                break
+        else:
+            return True
+    return False
+
+
+def _live_lanes(dead, lanes):
+    """Indices of the rows of ``lanes`` that _strands_leaf passes."""
+    live = _np.ones(len(lanes), dtype=bool)
+    for e, others in dead:
+        live &= (lanes[:, others] != lanes[:, e, None]).any(axis=1)
+    return _np.flatnonzero(live)
+
+
+def _search_blocks(k, nbrs, dead, colors, maxp):
     """Check the canonical colorings from ``colors`` to the end of the level
     in numpy blocks.  Returns (found, explored) like _find_pass: the lowest
     passing lane is the canonically smallest passing coloring, and it is
-    written back to colors and maxp."""
+    written back to colors and maxp.  Only the lanes that strand no leaf
+    reach the kernel."""
     m = len(colors)
     s = 0
     while s < m - 1 and k ** (s + 1) <= _LANES:
@@ -142,12 +208,14 @@ def _search_blocks(k, nbrs, colors, maxp):
     start = int(_np.flatnonzero((table == colors[p:]).all(axis=1))[0])
     explored = 0
     for lanes in _blocks(k, s, colors[:p], maxp[:p], start):
-        ok = _block_ok(k, nbrs, lanes)
-        if ok.any():
-            lane = int(ok.argmax())
-            colors[:] = lanes[lane].tolist()
-            maxp[:] = accumulate(colors, max)
-            return True, explored + lane + 1
+        live = _live_lanes(dead, lanes)
+        if len(live):
+            ok = _block_ok(k, nbrs, lanes[live])
+            if ok.any():
+                lane = int(live[ok.argmax()])
+                colors[:] = lanes[lane].tolist()
+                maxp[:] = accumulate(colors, max)
+                return True, explored + lane + 1
         explored += len(lanes)
     return False, explored
 
@@ -254,6 +322,7 @@ def _solve(n, pairs, bidirectional, max_k, budgets, accept) -> ExactResult | Non
     if m == 0:
         return ExactResult(1, EdgeColoring(1, {}), 1)
     nbrs = _neighbor_table(n, pairs, bidirectional)
+    dead = _dead_ends(nbrs)
     total = 0
     for k in range(1, max_k + 1):
         limit = _edge_budget(k, budgets)
@@ -263,7 +332,7 @@ def _solve(n, pairs, bidirectional, max_k, budgets, accept) -> ExactResult | Non
         maxp = [1] * m
         skip = False
         while True:
-            found, explored = _find_pass(k, nbrs, colors, maxp, skip)
+            found, explored = _find_pass(k, nbrs, dead, colors, maxp, skip)
             total += explored
             if not found:
                 break

@@ -271,6 +271,23 @@ class TestReduceTheta:
             "passed",
         ]
 
+    def test_descent_guard_raises_under_python_O(self):
+        # a stray odd cycle that meets the inverter in under two vertices
+        # cannot be descended along; the guard must not be an assert
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = ("from properwalk import ThetaSubgraph, theta\n"
+                "from properwalk.construct import _descend\n"
+                "g = theta(2, 2, 1)\n"       # outer 0-1-2-3, chord 0-2
+                "try:\n    _descend(g, ThetaSubgraph((0, 1, 2, 3), (0, 2)), (1, 3, 2))\n"
+                "except AssertionError as exc:\n    print('raised:', exc)\n"
+                "else:\n    print('returned')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: stray cycle shares an edge but not two inverter vertices"]
+
 
 class TestColorThetaBlock2:
     def test_spanning_branch(self):

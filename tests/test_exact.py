@@ -263,10 +263,45 @@ class TestBlockKernel:
                 for start in {0} | {s for s in (1, last // 2, last) if 0 < s <= last}:
                     colors = list(seqs[start])
                     maxp = list(accumulate(colors, max))
-                    found, explored = exact._find_pass(k, [[], []], colors, maxp, start > 0)
+                    found, explored = exact._find_pass(k, [[], []], [], colors, maxp, start > 0)
                     assert (found, explored) == (True, target - start + (start == 0))
                     assert tuple(colors) == seqs[target]
                     assert maxp == list(accumulate(colors, max))
+
+
+class TestDeadEnds:
+    """The leaf rule may reject only colorings that verify's SCC pass also
+    rejects, and the lane filter must agree with it row by row."""
+
+    @staticmethod
+    def fired(n, pairs, bidirectional):
+        nbrs = exact._neighbor_table(n, pairs, bidirectional)
+        dead = exact._dead_ends(nbrs)
+        count = 0
+        for k in (1, 2, 3):
+            seqs = list(canonical_colorings(len(pairs), k))
+            stranded = [exact._strands_leaf(dead, s) for s in seqs]
+            for s, hit in zip(seqs, stranded):
+                if hit:
+                    adj = [[(y, s[e]) for y, e in row] for row in nbrs]
+                    assert exact._first_failure(adj, k) is not None, (pairs, s)
+            lanes = np.array(seqs, dtype=np.uint8).reshape(len(seqs), len(pairs))
+            live = [i for i, hit in enumerate(stranded) if not hit]
+            assert exact._live_lanes(dead, lanes).tolist() == live, (pairs, k)
+            count += sum(stranded)
+        return count
+
+    def test_sound_on_every_small_coloring(self):
+        fired = sum(self.fired(g.n, g.edges, True) for n in range(1, 6)
+                    for g in connected_graphs(n))
+        fired += sum(self.fired(d.n, d.arcs, False) for d in scc_digraphs(3))
+        assert fired > 0
+
+    def test_silent_on_two_vertices(self):
+        # both walks of P_2 and of the 2-cycle end at once, yet every pair
+        # is joined: the rule needs a third vertex
+        assert self.fired(2, [(0, 1)], True) == 0
+        assert self.fired(2, [(0, 1), (1, 0)], False) == 0
 
 
 def fingerprint(res):
@@ -311,7 +346,8 @@ class TestBlockSearchMatchesPython:
             assert g.m in (11, 12, 13)
 
             def level2(g=g):
-                return exact._find_pass(2, exact._neighbor_table(g.n, g.edges, True),
+                nbrs = exact._neighbor_table(g.n, g.edges, True)
+                return exact._find_pass(2, nbrs, exact._dead_ends(nbrs),
                                         [1] * g.m, [1] * g.m, False)
             batched, reference = both(level2)
             assert batched == reference == (False, 2 ** (g.m - 1))
@@ -334,6 +370,25 @@ class TestBlockSearchMatchesPython:
         for mode in ("walk", "path"):
             batched, reference = both(lambda: exact_directed(DIRECTED_RESUMED, mode))
             assert fingerprint(batched) == fingerprint(reference)
+
+    def test_blocks_with_every_lane_stranded(self, both, monkeypatch):
+        # with 8 lanes a block of spider(3, 3) holds several prefixes,
+        # and a prefix that colors a leaf's edge like the other edge at its
+        # neighbour strands the leaf in every lane; such blocks skip the
+        # kernel, and in others stranded lanes come before the passing one
+        monkeypatch.setattr(exact, "_LANES", 8)
+        sizes = []
+        live_lanes = exact._live_lanes
+
+        def recorded(dead, lanes):
+            live = live_lanes(dead, lanes)
+            sizes.append(len(live))
+            return live
+        monkeypatch.setattr(exact, "_live_lanes", recorded)
+        g = spider(3, 3)
+        batched, reference = both(lambda: exact_pw(g, max_k=3))
+        assert 0 in sizes
+        assert batched.k == 3 and fingerprint(batched) == fingerprint(reference)
 
 
 KERNEL_LIES = """
