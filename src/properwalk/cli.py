@@ -9,11 +9,13 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import construct, decompose, exact, graphs, verify
 from .graphs import (ColoringMismatchError, GraphFormatError, emit_graph,
                      generate, parse_coloring, parse_graph)
+from .orient import robbins_orientation
 
 
 def _read_text(path: str) -> str:
@@ -79,7 +81,6 @@ def _cmd_analyze(args) -> int:
             if comp.trivial:
                 continue
             sub, old = g.induced(comp.vertices)
-            from .orient import robbins_orientation
             oriented = robbins_orientation(sub)
             arcs = " ".join(f"{old[a]}->{old[b]}" for a, b in oriented.arcs)
             print(f"orientation {{{','.join(map(str, sorted(comp.vertices)))}}}: {arcs}")
@@ -153,14 +154,13 @@ def _cmd_verify(args) -> int:
         return 1
 
     if args.path:
+        adj = verify._path_adjacency(g, coloring)
         n = g.n
         pairs = ([(u, v) for u in range(n) for v in range(n) if u != v]
                  if args.directed else
                  [(u, v) for u in range(n) for v in range(u + 1, n)])
-        check = (verify.path_reachable_directed if args.directed
-                 else verify.path_reachable)
         for u, v in pairs:
-            if not check(g, coloring, u, v):
+            if not verify._path_dfs(adj, u, v, 1 << u, 0):
                 print(f"FAIL {u} {v}")
                 return 1
         print("PASS")
@@ -284,10 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    May be called repeatedly in one process; the parser is built on the
+    first call and reused.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:

@@ -39,7 +39,7 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_connected")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -61,6 +61,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._connected = None
 
     @property
     def m(self) -> int:
@@ -79,17 +80,19 @@ class Graph:
         return 0 <= u < self.n and v in self._adj[u]
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
+        """One search on the first call; the graph never changes, so the
+        answer is kept for every later call."""
+        if self._connected is None:
+            seen = {0}
+            stack = [0] if self.n > 1 else []
+            while stack:
+                x = stack.pop()
+                for y in self._adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            self._connected = self.n <= 1 or len(seen) == self.n
+        return self._connected
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2

@@ -221,15 +221,19 @@ def _lowest_bit(bits):
 def path_reachable(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
     """Is there a properly colored simple u-v path?  Exhaustive DFS over
     simple paths; guarded to graphs with at most 16 vertices."""
+    adj = _path_adjacency(g, c)
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    return u == v or _path_dfs(adj, u, v, 1 << u, 0)
+
+
+def _path_adjacency(g, c: EdgeColoring):
+    """The colored adjacency the simple-path search runs on (out-arcs on a
+    digraph), after the size guard and the coloring check."""
     if g.n > PATH_SEARCH_LIMIT:
         raise ValueError(f"path search is limited to {PATH_SEARCH_LIMIT} vertices")
     c.validate_for(g)
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        return True
-    adj = _colored_adjacency(g, c)
-    return _path_dfs(adj, u, v, 1 << u, 0)
+    return _colored_out_adjacency(g, c) if isinstance(g, Digraph) else _colored_adjacency(g, c)
 
 
 def _path_dfs(adj, x, v, visited, last):
@@ -268,11 +272,5 @@ def verify_all_pairs_directed(d: Digraph, c: EdgeColoring) -> tuple[bool, tuple[
 
 
 def path_reachable_directed(d: Digraph, c: EdgeColoring, u: int, v: int) -> bool:
-    if d.n > PATH_SEARCH_LIMIT:
-        raise ValueError(f"path search is limited to {PATH_SEARCH_LIMIT} vertices")
-    c.validate_for(d)
-    _check_vertex(d, u)
-    _check_vertex(d, v)
-    if u == v:
-        return True
-    return _path_dfs(_colored_out_adjacency(d, c), u, v, 1 << u, 0)
+    """Directed variant: properly colored simple directed path from u to v."""
+    return path_reachable(d, c, u, v)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from properwalk import cli
 from properwalk.cli import main
 
 
@@ -135,6 +141,24 @@ class TestVerify:
         code, _, err = run("verify", gpath, cpath)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_path_mode_checks_coloring_without_pairs(self, run, tmp_path, directed):
+        # one vertex has no pairs to search, but a coloring of an absent
+        # edge is still a mismatch
+        gpath = write(tmp_path, "k1.txt", "1 0\n")
+        cpath = write(tmp_path, "c.txt", "k 1\n0 1 1\n")
+        flags = ("--directed",) if directed else ()
+        code, out, err = run("verify", gpath, cpath, "--path", *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: colored edges absent from graph: [(0, 1)]\n"
+
+    def test_path_mode_too_large(self, run, tmp_path):
+        n = 17
+        gpath = write(tmp_path, "p.txt", "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        cpath = write(tmp_path, "c.txt", "k 1\n0 1 1\n")
+        code, _, err = run("verify", gpath, cpath, "--path")
+        assert code == 2 and err == "error: path search is limited to 16 vertices\n"
+
 
 class TestExact:
     def test_pw(self, run, tmp_path):
@@ -209,3 +233,82 @@ class TestUsage:
         gpath = write(tmp_path, "bad.txt", "0 0\n")
         code, _, err = run("color", gpath)
         assert code == 2 and "loop" in err
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count parser builds from a cleared cache."""
+        count = []
+        real = cli.build_parser
+
+        def counting():
+            count.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        yield count
+        cli._parser.cache_clear()
+
+    def test_many_calls_build_once(self, builds, run, tmp_path):
+        gpath = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
+        cpath = str(tmp_path / "c.txt")
+        assert run("gen", "cycle", "4")[0] == 0
+        assert run("color", gpath, "--out", cpath)[0] == 0
+        for _ in range(5):
+            assert run("verify", gpath, cpath) == (0, "PASS\n", "")
+        assert run("frobnicate")[0] == 2
+        assert run("exact", gpath)[0] == 0
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self, builds):
+        main(["gen", "cycle", "3"])
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_max_k_default_restored(self, builds, run, tmp_path):
+        path = write(tmp_path, "p3.txt", "0 1\n1 2\n")
+        star = write(tmp_path, "star.txt", "0 1\n0 2\n0 3\n0 4\n")
+        assert run("exact", path, "--max-k", "1") == (1, "no coloring with at most 1 colors\n", "")
+        code, out, _ = run("exact", path)
+        assert code == 0 and out.splitlines()[0] == "k 2"
+        assert run("exact", star) == (1, "no coloring with at most 3 colors\n", "")
+
+    def test_directed_flag_not_kept(self, builds, run, tmp_path):
+        # the directed reading of this file lacks a 1 -> 0 walk; the
+        # undirected reading passes
+        gpath = write(tmp_path, "p3.txt", "0 1\n1 2\n")
+        cpath = write(tmp_path, "c.txt", "k 2\n0 1 1\n1 2 2\n")
+        assert run("verify", gpath, cpath, "--directed") == (1, "FAIL 1 0\n", "")
+        assert run("verify", gpath, cpath) == (0, "PASS\n", "")
+        assert run("verify", gpath, cpath, "--directed") == (1, "FAIL 1 0\n", "")
+
+    def test_usage_error_then_success(self, builds, run):
+        code, out, err = run("exact")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: properwalk exact") and "required: graph" in err
+        assert run("gen", "cycle", "3") == (0, "3 3\n0 1\n0 2\n1 2\n", "")
+
+    def test_help_then_success(self, builds, run):
+        code, out, err = run("--help")
+        assert code == 0 and out.startswith("usage: properwalk") and err == ""
+        assert run("gen", "cycle", "3") == (0, "3 3\n0 1\n0 2\n1 2\n", "")
+        assert len(builds) == 1
+
+
+class TestProcess:
+    def test_import_is_lazy_and_module_runs(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+        def python(*args):
+            return subprocess.run([sys.executable, *args], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        proc = python("-c", "import properwalk.cli as c; print(c._parser.cache_info().currsize)")
+        assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+        proc = python("-m", "properwalk.cli", "--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: properwalk"), proc.stderr
+        proc = python("-m", "properwalk.cli", "frobnicate")
+        assert proc.returncode == 2 and "invalid choice: 'frobnicate'" in proc.stderr

@@ -1,4 +1,7 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from properwalk import (Digraph, EdgeColoring, Graph, GraphFormatError, Walk,
                         bowtie_digraph, complete, cycle, cycle_with_feet,
@@ -197,3 +200,55 @@ class TestTypes:
         assert Walk((0, 1, 2)).is_properly_colored(col)
         assert not Walk((0, 1, 0, 1)).is_properly_colored(col)
         assert Walk((0, 1, 2)).num_edges == 2
+
+
+@st.composite
+def any_graph(draw, max_n=9):
+    """A graph on 1..max_n vertices with random edges, often disconnected."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return Graph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+def nx_connected(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return nx.is_connected(G)
+
+
+class TestConnectivityCache:
+    def test_atlas_matches_networkx(self):
+        # every graph with 1 to 7 vertices, connected or not
+        seen = set()
+        for G in nx.graph_atlas_g()[1:]:
+            g = Graph(G.number_of_nodes(), list(G.edges()))
+            want = nx.is_connected(G)
+            assert g.is_connected() is want and g.is_connected() is want, g.edges
+            seen.add(want)
+        assert seen == {False, True}
+
+    def test_empty_graph_connected(self):
+        g = Graph(0)
+        assert g.is_connected() and g.is_connected()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(any_graph(), st.data())
+    def test_random_graphs(self, g, data):
+        want = nx_connected(g)
+        assert g.is_connected() is want and g.is_connected() is want
+        sub, _ = g.induced(data.draw(st.sets(st.integers(0, g.n - 1))))
+        assert sub.is_connected() is sub.is_connected() is (sub.n == 0 or nx_connected(sub))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(any_graph(), st.data())
+    def test_equality_ignores_the_cache(self, g, data):
+        sub, _ = g.induced(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+        fresh = Graph(sub.n, sub.edges)
+        assert sub == fresh and hash(sub) == hash(fresh)
+        sub.is_connected()          # cache filled on one side only
+        assert sub == fresh and fresh == sub and hash(sub) == hash(fresh)
+        fresh.is_connected()
+        assert sub == fresh and hash(sub) == hash(fresh)
+        assert len({sub, fresh, Graph(sub.n, sub.edges)}) == 1
