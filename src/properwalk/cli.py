@@ -138,11 +138,7 @@ def _cmd_verify(args) -> int:
     if args.pair is not None:
         u, v = args.pair
         if args.path:
-            ok = (verify.path_reachable_directed(g, coloring, u, v) if args.directed
-                  else verify.path_reachable(g, coloring, u, v))
-            witness = None
-        elif args.directed:
-            ok, witness = verify.walk_reachable_directed(g, coloring, u, v)
+            ok, witness = verify.path_reachable(g, coloring, u, v), None
         else:
             ok, witness = verify.walk_reachable(g, coloring, u, v)
         if ok:
@@ -154,21 +150,12 @@ def _cmd_verify(args) -> int:
         return 1
 
     if args.path:
-        adj = verify._path_adjacency(g, coloring)
-        n = g.n
-        pairs = ([(u, v) for u in range(n) for v in range(n) if u != v]
-                 if args.directed else
-                 [(u, v) for u in range(n) for v in range(u + 1, n)])
-        for u, v in pairs:
-            if not verify._path_dfs(adj, u, v, 1 << u, 0):
-                print(f"FAIL {u} {v}")
-                return 1
-        print("PASS")
-        return 0
-
-    ok, pair = (verify.verify_all_pairs_directed(g, coloring) if args.directed
-                else verify.verify_all_pairs(g, coloring))
-    if ok:
+        pair = verify._first_path_failure(g, coloring)
+    elif args.directed:
+        pair = verify.verify_all_pairs_directed(g, coloring)[1]
+    else:
+        pair = verify.verify_all_pairs(g, coloring)[1]
+    if pair is None:
         print("PASS")
         return 0
     print(f"FAIL {pair[0]} {pair[1]}")

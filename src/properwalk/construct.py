@@ -383,13 +383,11 @@ class ThetaSubgraph:
         return self.inverter[1:-1]
 
 
-def _theta_arcs(t: ThetaSubgraph):
-    """The two u..v arcs of the outer cycle, each as a vertex tuple."""
-    rc = rotate_cycle(t.cycle, t.u)
-    iv = rc.index(t.v)
-    arc1 = rc[:iv + 1]
-    arc2 = (t.u,) + tuple(reversed(rc[iv:]))
-    return arc1, arc2
+def _cycle_arcs(cycle, u, v):
+    """The two u..v arcs of a cycle through u and v, each as a vertex tuple."""
+    rc = rotate_cycle(cycle, u)
+    iv = rc.index(v)
+    return rc[:iv + 1], (u,) + tuple(reversed(rc[iv:]))
 
 
 def _check_theta(g: Graph, t: ThetaSubgraph) -> None:
@@ -416,7 +414,7 @@ def _check_theta(g: Graph, t: ThetaSubgraph) -> None:
         fail(f"inverter ends {t.u} and {t.v} are not both on the outer cycle")
     if set(inv[1:-1]) & set(cyc):
         fail("inverter interior meets the outer cycle")
-    arc1, _ = _theta_arcs(t)
+    arc1, _ = _cycle_arcs(cyc, t.u, t.v)
     if (len(inv) - 1 + len(arc1) - 1) % 2 == 0:
         fail("inverter and outer arc close an even cycle, so the theta is bipartite")
 
@@ -424,7 +422,7 @@ def _check_theta(g: Graph, t: ThetaSubgraph) -> None:
 _THETA_MAX_ROUNDS = 10000
 
 
-def reduce_theta(g: Graph, _max_rounds: int = _THETA_MAX_ROUNDS):
+def reduce_theta(g: Graph):
     """Find a theta subgraph whose removal of outer-cycle vertices leaves a
     bipartite graph, or two edge-disjoint odd cycles when the descent escapes.
 
@@ -440,18 +438,15 @@ def reduce_theta(g: Graph, _max_rounds: int = _THETA_MAX_ROUNDS):
         raise ValueError("graph is bipartite")
     if len(soc) == g.n:
         raise ValueError("shortest odd cycle is spanning; no theta reduction needed")
-    return _reduce_theta(g, soc, _max_rounds)
+    return _reduce_theta(g, soc)
 
 
-def _reduce_theta(g: Graph, soc: tuple[int, ...], max_rounds: int = _THETA_MAX_ROUNDS):
+def _reduce_theta(g: Graph, soc: tuple[int, ...]):
     w = min(v for v in range(g.n) if v not in set(soc))
     q1, q2 = two_disjoint_paths(g, w, set(soc))
     third = tuple(reversed(q1)) + q2[1:]          # u .. w .. v
     u, v = third[0], third[-1]
-    ru = rotate_cycle(soc, u)
-    iv = ru.index(v)
-    arc_a = ru[:iv + 1]
-    arc_b = (u,) + tuple(reversed(ru[iv:]))
+    arc_a, arc_b = _cycle_arcs(soc, u, v)
     if (len(third) - len(arc_a)) % 2 == 0:
         outer = third + tuple(reversed(arc_a[1:-1]))
         inverter = arc_b
@@ -461,7 +456,7 @@ def _reduce_theta(g: Graph, soc: tuple[int, ...], max_rounds: int = _THETA_MAX_R
     theta = ThetaSubgraph(outer, inverter)
     _check_theta(g, theta)
 
-    for _ in range(max_rounds):
+    for _ in range(_THETA_MAX_ROUNDS):
         cyc_set = set(theta.cycle)
         rest = sorted(set(range(g.n)) - cyc_set)
         odd = None
@@ -479,7 +474,7 @@ def _reduce_theta(g: Graph, soc: tuple[int, ...], max_rounds: int = _THETA_MAX_R
         if not (odd_edges & p_edges):
             # Escape: the inverter plus either outer arc is an odd cycle
             # edge-disjoint from the stray odd cycle.
-            arc = min(_theta_arcs(theta))
+            arc = min(_cycle_arcs(theta.cycle, theta.u, theta.v))
             second = p + tuple(reversed(arc[1:-1]))
             if len(second) % 2 == 0:
                 raise AssertionError(f"escape cycle {second} has even length")
@@ -520,7 +515,7 @@ def _descend(g: Graph, theta: ThetaSubgraph, odd) -> ThetaSubgraph:
         chosen = list(reversed(chosen))
     x, y = chosen[0], chosen[-1]
     new_inverter = p[pos[x]:pos[y] + 1]
-    arc = min(_theta_arcs(theta))
+    arc = min(_cycle_arcs(theta.cycle, theta.u, theta.v))
     outer = (tuple(chosen)
              + p[pos[y] + 1:]
              + tuple(reversed(arc))[1:]

@@ -15,6 +15,7 @@ reproducible.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -250,88 +251,70 @@ def two_disjoint_paths(g: Graph, w: int, targets) -> tuple[tuple[int, ...], tupl
     targets, and avoid targets internally.
 
     Computed by two augmentations of unit-capacity max flow with vertex
-    splitting; raises ValueError when no such pair exists.
+    splitting (Menger; Ford and Fulkerson); raises ValueError when no such
+    pair exists.  Every vertex but w carries at most one unit, so the whole
+    flow is one map, pred[v] = u when the unit entering v comes from u, and
+    the residual arcs are generated from g's adjacency.
     """
     targets = set(targets)
     if w in targets:
         raise ValueError("start vertex lies in the target set")
     if len(targets) < 2:
         raise ValueError("need at least two target vertices")
-    n = g.n
 
-    # Node encoding: in(v) = 2v, out(v) = 2v + 1, sink = 2n.  Targets have no
-    # in->out arc, so paths cannot pass through them.
-    sink = 2 * n
+    # Residual nodes: in(v) = 2v, out(v) = 2v + 1; a BFS reaches the sink
+    # when it expands in(t) for a target t that carries no unit.  Targets
+    # have no in->out arc, so paths cannot pass through them.
     source = 2 * w + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
-
-    def add(a, b, c):
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        cap[(a, b)] += c
-
-    for v in range(n):
-        if v in targets:
-            add(2 * v, sink, 1)
-        elif v != w:
-            add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        add(2 * u + 1, 2 * v, 1)
-        add(2 * v + 1, 2 * u, 1)
-    for a in adj:
-        adj[a] = sorted(set(adj[a]))
-
-    flow: dict[tuple[int, int], int] = {e: 0 for e in cap}
-
-    def augment() -> bool:
+    pred: dict[int, int] = {}
+    for _ in range(2):
         prev = {source: None}
         queue = deque([source])
         while queue:
             x = queue.popleft()
-            if x == sink:
+            v = x >> 1
+            if x & 1:
+                # out(v) -> in(u) for every neighbor u, and back to in(v) if
+                # v carries a unit, in node-id order: the order decides which
+                # shortest augmenting path is found.  The arc to in(u) with
+                # pred[u] == v is saturated but needs no test: in(u) is then
+                # out(v)'s only way in, so already reached, or v = w and
+                # in(u) leads only back to the source.  No target's out-node
+                # is ever reached, as targets feed no vertex.
+                nxt = [2 * u for u in g.neighbors(v)]
+                if v in pred:
+                    insort(nxt, x - 1)
+            elif v in pred:
+                nxt = (2 * pred[v] + 1,)        # cancel v's unit
+            elif v in targets:
                 break
-            for y in adj.get(x, ()):
-                if y not in prev and cap.get((x, y), 0) - flow[(x, y)] > 0:
+            else:
+                nxt = (x + 1,)      # for v = w the source, already reached
+            for y in nxt:
+                if y not in prev:
                     prev[y] = x
                     queue.append(y)
-        if sink not in prev:
-            return False
-        y = sink
-        while prev[y] is not None:
-            x = prev[y]
-            flow[(x, y)] += 1
-            flow[(y, x)] -= 1
-            y = x
-        return True
+        else:
+            raise ValueError(f"no two internally disjoint paths from {w} to the targets")
+        while x != source:          # record the path's arcs in pred
+            u = prev[x]
+            if u >> 1 != x >> 1:
+                if u & 1:
+                    pred[x >> 1] = u >> 1
+                else:
+                    # The unit entering this vertex is cancelled; the arc
+                    # before it on the path, if forward, gives it a new one.
+                    # Kept so that pred stays the exact flow, although a
+                    # stale entry would lie off both paths read below.
+                    del pred[u >> 1]
+            x = u
 
-    got = 0
-    while got < 2 and augment():
-        got += 1
-    if got < 2:
-        raise ValueError(f"no two internally disjoint paths from {w} to the targets")
-
-    # Decompose the flow into two vertex paths.
     paths = []
-    for _ in range(2):
-        path = [w]
-        node = source
-        while node != sink:
-            nxt = None
-            for y in adj.get(node, ()):
-                if flow.get((node, y), 0) > 0:
-                    nxt = y
-                    break
-            if nxt is None:
-                raise AssertionError("flow decomposition ran dry")
-            flow[(node, nxt)] -= 1
-            node = nxt
-            if node != sink and node % 2 == 0:
-                path.append(node // 2)
-        paths.append(tuple(path))
+    for t in targets & pred.keys():
+        path = [t]
+        while path[-1] != w:
+            path.append(pred[path[-1]])
+        paths.append(tuple(reversed(path)))
     paths.sort(key=lambda p: (p[-1], p))
     p1, p2 = paths
 

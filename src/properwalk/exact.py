@@ -33,8 +33,8 @@ from functools import lru_cache, partial
 from itertools import accumulate, combinations, product
 
 from .graphs import Digraph, EdgeColoring, Graph
-from .verify import (_colored_adjacency, _colored_out_adjacency, _first_failure,
-                     _path_dfs, verify_all_pairs, verify_all_pairs_directed)
+from .verify import (_first_failure, _first_path_failure, verify_all_pairs,
+                     verify_all_pairs_directed)
 
 try:
     import numpy as _np
@@ -364,12 +364,10 @@ def exact_pw(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
     return _solve(g.n, g.edges, True, max_k, budgets, _verified(verify_all_pairs, g))
 
 
-def _paths_all_pairs(g: Graph, coloring: EdgeColoring) -> bool:
+def _paths_all_pairs(g: Graph | Digraph, coloring: EdgeColoring) -> bool:
     """Path-mode acceptor: a properly colored simple path joins every pair,
-    by verify's simple-path DFS over one colored adjacency."""
-    coloring.validate_for(g)
-    adj = _colored_adjacency(g, coloring)
-    return all(_path_dfs(adj, u, v, 1 << u, 0) for u, v in combinations(range(g.n), 2))
+    unordered on a graph and ordered on a digraph."""
+    return _first_path_failure(g, coloring) is None
 
 
 def exact_pp(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
@@ -385,13 +383,6 @@ def exact_pp(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
     return _solve(g.n, g.edges, True, max_k, budgets, partial(_paths_all_pairs, g))
 
 
-def _paths_all_pairs_directed(d: Digraph, coloring: EdgeColoring) -> bool:
-    coloring.validate_for(d)
-    adj = _colored_out_adjacency(d, coloring)
-    return all(_path_dfs(adj, u, v, 1 << u, 0)
-               for u in range(d.n) for v in range(d.n) if u != v)
-
-
 def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
                    budgets=None) -> ExactResult | None:
     """Exact arc-coloring count for a strongly connected digraph, over all
@@ -403,7 +394,7 @@ def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
     if mode == "path" and d.n > PATH_VERTEX_LIMIT:
         raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
     accept = (_verified(verify_all_pairs_directed, d) if mode == "walk"
-              else partial(_paths_all_pairs_directed, d))
+              else partial(_paths_all_pairs, d))
     return _solve(d.n, d.arcs, False, max_k, budgets, accept)
 
 

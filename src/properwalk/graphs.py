@@ -252,9 +252,6 @@ class EdgeColoring:
         if extra:
             raise ColoringMismatchError(f"colored edges absent from graph: {sorted(extra)[:3]}")
 
-    def colors_used(self) -> set[int]:
-        return set(self.assignment.values())
-
     def __eq__(self, other):
         return (isinstance(other, EdgeColoring)
                 and self.k == other.k and self.assignment == other.assignment)

@@ -34,19 +34,18 @@ def _check_vertex(g, v):
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
 
 
-def _colored_adjacency(g: Graph, c: EdgeColoring):
+def _colored_adjacency(g: Graph | Digraph, c: EdgeColoring):
+    """Sorted (y, color) lists per vertex: both directions of each edge of a
+    graph, the out-arcs of a digraph."""
     adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        col = c.color(u, v)
-        adj[u].append((v, col))
-        adj[v].append((u, col))
-    return [sorted(a) for a in adj]
-
-
-def _colored_out_adjacency(d: Digraph, c: EdgeColoring):
-    adj = [[] for _ in range(d.n)]
-    for u, v in d.arcs:
-        adj[u].append((v, c.assignment[(u, v)]))
+    if isinstance(g, Digraph):
+        for u, v in g.arcs:
+            adj[u].append((v, c.assignment[(u, v)]))
+    else:
+        for u, v in g.edges:
+            col = c.color(u, v)
+            adj[u].append((v, col))
+            adj[v].append((u, col))
     return [sorted(a) for a in adj]
 
 
@@ -87,10 +86,11 @@ def _rebuild(parent, state, u):
     return tuple(reversed(out))
 
 
-def walk_reachable(g: Graph, c: EdgeColoring, u: int, v: int,
+def walk_reachable(g: Graph | Digraph, c: EdgeColoring, u: int, v: int,
                    start_colors=None, end_colors=None) -> tuple[bool, Walk | None]:
-    """Is there a properly colored u-v walk, optionally with prescribed first
-    and last edge colors?  u = v with no constraints holds via the empty walk.
+    """Is there a properly colored u-v walk (directed on a digraph),
+    optionally with prescribed first and last edge colors?  u = v with no
+    constraints holds via the empty walk.
 
     Returns (answer, witness); the witness has at most n*k edges.
     """
@@ -227,13 +227,26 @@ def path_reachable(g: Graph, c: EdgeColoring, u: int, v: int) -> bool:
     return u == v or _path_dfs(adj, u, v, 1 << u, 0)
 
 
+def _first_path_failure(g, c: EdgeColoring):
+    """The first pair (u, v), u < v on a graph and ordered on a digraph, with
+    no properly colored simple u-v path, or None; guarded like
+    ``path_reachable``."""
+    adj = _path_adjacency(g, c)
+    directed = isinstance(g, Digraph)
+    for u in range(g.n):
+        for v in range(0 if directed else u + 1, g.n):
+            if u != v and not _path_dfs(adj, u, v, 1 << u, 0):
+                return u, v
+    return None
+
+
 def _path_adjacency(g, c: EdgeColoring):
     """The colored adjacency the simple-path search runs on (out-arcs on a
     digraph), after the size guard and the coloring check."""
     if g.n > PATH_SEARCH_LIMIT:
         raise ValueError(f"path search is limited to {PATH_SEARCH_LIMIT} vertices")
     c.validate_for(g)
-    return _colored_out_adjacency(g, c) if isinstance(g, Digraph) else _colored_adjacency(g, c)
+    return _colored_adjacency(g, c)
 
 
 def _path_dfs(adj, x, v, visited, last):
@@ -249,15 +262,7 @@ def _path_dfs(adj, x, v, visited, last):
 
 def walk_reachable_directed(d: Digraph, c: EdgeColoring, u: int, v: int) -> tuple[bool, Walk | None]:
     """Directed variant: properly colored directed walk from u to v."""
-    c.validate_for(d)
-    _check_vertex(d, u)
-    _check_vertex(d, v)
-    if u == v:
-        return True, Walk((u,))
-    witness = _state_search(_colored_out_adjacency(d, c), u, v, None, None)
-    if witness is None:
-        return False, None
-    return True, Walk(witness)
+    return walk_reachable(d, c, u, v)
 
 
 def verify_all_pairs_directed(d: Digraph, c: EdgeColoring) -> tuple[bool, tuple[int, int] | None]:
@@ -267,7 +272,7 @@ def verify_all_pairs_directed(d: Digraph, c: EdgeColoring) -> tuple[bool, tuple[
     failure returns the lexicographically first failing ordered pair.
     """
     c.validate_for(d)
-    pair = _first_failure(_colored_out_adjacency(d, c), c.k)
+    pair = _first_failure(_colored_adjacency(d, c), c.k)
     return pair is None, pair
 
 

@@ -135,6 +135,21 @@ class TestVerify:
         code, out, _ = run("verify", gpath, cpath, "--directed")
         assert code == 0 and out == "PASS\n"
 
+    @pytest.mark.parametrize("colors, flags, want", [
+        ("1 2 3", ("--pair", "0", "2", "--witness"), (0, "PASS\nwitness: 0 1 2\n")),
+        ("1 1 1", ("--pair", "0", "2", "--witness"), (1, "FAIL 0 2\n")),
+        ("1 2 3", ("--pair", "0", "2", "--path"), (0, "PASS\n")),
+        ("1 1 1", ("--pair", "2", "1", "--path"), (1, "FAIL 2 1\n")),
+        ("1 2 3", ("--path",), (0, "PASS\n")),
+        ("2 1 1", ("--path",), (1, "FAIL 1 0\n")),
+    ])
+    def test_directed_pair_and_path(self, run, tmp_path, colors, flags, want):
+        gpath = write(tmp_path, "d.txt", "0 1\n1 2\n2 0\n")
+        c01, c12, c20 = colors.split()
+        cpath = write(tmp_path, "c.txt", f"k 3\n0 1 {c01}\n1 2 {c12}\n2 0 {c20}\n")
+        code, out, _ = run("verify", gpath, cpath, "--directed", *flags)
+        assert (code, out) == want
+
     def test_coloring_mismatch_is_usage_error(self, run, tmp_path):
         gpath = write(tmp_path, "p3.txt", "0 1\n1 2\n")
         cpath = write(tmp_path, "c.txt", "k 1\n0 1 1\n")

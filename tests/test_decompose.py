@@ -1,5 +1,7 @@
+import math
 import random
 from collections import deque
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -8,7 +10,7 @@ from properwalk import decompose
 from properwalk import (Graph, bipartition, blocks, bridgeless_core, bridges,
                         complete, connected_graphs, contract_core_graph,
                         cycle, disjoint_odd_cycles, meets_two_bridge_rule,
-                        path_graph, shortest_odd_cycle, star, theta,
+                        path_graph, random_connected, shortest_odd_cycle, star, theta,
                         two_disjoint_paths, two_triangles_shared_vertex)
 from properwalk.graphs import canonical_edge
 
@@ -66,6 +68,108 @@ def all_starts_odd_cycle(g):
         state = best_parent[state]
     walk.reverse()
     return tuple(walk[:-1])
+
+
+def flow_network_disjoint_paths(g, w, targets):
+    """Reference for two_disjoint_paths: the same two augmentations of
+    unit-capacity max flow, on an explicit vertex-split network with
+    capacity and flow dicts and its own sorted adjacency, and the paths read
+    by decomposing the flow.  Raises the same ValueErrors."""
+    targets = set(targets)
+    if w in targets:
+        raise ValueError("start vertex lies in the target set")
+    if len(targets) < 2:
+        raise ValueError("need at least two target vertices")
+    n = g.n
+
+    # Node encoding: in(v) = 2v, out(v) = 2v + 1, sink = 2n.  Targets have no
+    # in->out arc, so paths cannot pass through them.
+    sink = 2 * n
+    source = 2 * w + 1
+    cap: dict[tuple[int, int], int] = {}
+    adj: dict[int, list[int]] = {}
+
+    def add(a, b, c):
+        if (a, b) not in cap:
+            cap[(a, b)] = 0
+            cap[(b, a)] = cap.get((b, a), 0)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        cap[(a, b)] += c
+
+    for v in range(n):
+        if v in targets:
+            add(2 * v, sink, 1)
+        elif v != w:
+            add(2 * v, 2 * v + 1, 1)
+    for u, v in g.edges:
+        add(2 * u + 1, 2 * v, 1)
+        add(2 * v + 1, 2 * u, 1)
+    for a in adj:
+        adj[a] = sorted(set(adj[a]))
+
+    flow: dict[tuple[int, int], int] = {e: 0 for e in cap}
+
+    def augment() -> bool:
+        prev = {source: None}
+        queue = deque([source])
+        while queue:
+            x = queue.popleft()
+            if x == sink:
+                break
+            for y in adj.get(x, ()):
+                if y not in prev and cap.get((x, y), 0) - flow[(x, y)] > 0:
+                    prev[y] = x
+                    queue.append(y)
+        if sink not in prev:
+            return False
+        y = sink
+        while prev[y] is not None:
+            x = prev[y]
+            flow[(x, y)] += 1
+            flow[(y, x)] -= 1
+            y = x
+        return True
+
+    got = 0
+    while got < 2 and augment():
+        got += 1
+    if got < 2:
+        raise ValueError(f"no two internally disjoint paths from {w} to the targets")
+
+    # Decompose the flow into two vertex paths.
+    paths = []
+    for _ in range(2):
+        path = [w]
+        node = source
+        while node != sink:
+            nxt = None
+            for y in adj.get(node, ()):
+                if flow.get((node, y), 0) > 0:
+                    nxt = y
+                    break
+            if nxt is None:
+                raise AssertionError("flow decomposition ran dry")
+            flow[(node, nxt)] -= 1
+            node = nxt
+            if node != sink and node % 2 == 0:
+                path.append(node // 2)
+        paths.append(tuple(path))
+    paths.sort(key=lambda p: (p[-1], p))
+    p1, p2 = paths
+
+    if (p1[-1] == p2[-1] or not set(p1[1:]).isdisjoint(p2[1:])
+            or not targets.isdisjoint(p1[1:-1] + p2[1:-1])):
+        raise AssertionError(f"paths {p1} and {p2} are not internally disjoint")
+    return p1, p2
+
+
+def disjoint_paths_outcome(fn, g, w, targets):
+    """fn's pair of paths, or the message of the ValueError it raises."""
+    try:
+        return fn(g, w, targets)
+    except ValueError as exc:
+        return str(exc)
 
 
 def grid(rows, cols):
@@ -292,6 +396,61 @@ class TestTwoDisjointPaths:
                 assert p1[0] == w and p2[0] == w
                 assert p1[-1] != p2[-1]
                 assert not (set(p1[1:]) & set(p2[1:]))
+
+    @pytest.mark.parametrize("g, w, targets, want", [
+        # the first augmentation takes 1-0-3; the second runs 1-2-3, back
+        # along 3-0, cancelling 0's unit to 3, and on to 4
+        (Graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]), 1, {3, 4},
+         ((1, 2, 3), (1, 0, 4))),
+        # the first augmentation takes 0-1-2-3-4; the second runs 0-5-6-7-3,
+        # back along 3-2-1 through vertex 2, cancelling both of its arcs, and
+        # on by 1-8-9-10-11
+        (Graph(12, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 3),
+                    (1, 8), (8, 9), (9, 10), (10, 11)]), 0, {4, 11},
+         ((0, 5, 6, 7, 3, 4), (0, 1, 8, 9, 10, 11))),
+        # the first augmentation takes 0-1-2-3; the second reaches out(2)
+        # through 0-4-5-3, and from there in(2) (back along 2's unit) and
+        # in(6) both lead to 7.  The sorted network lists in(2) first, so
+        # 1 takes 7 before 6 can
+        (Graph(9, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3), (2, 6), (6, 7),
+                   (1, 7), (7, 8)]), 0, {3, 8},
+         ((0, 4, 5, 3), (0, 1, 7, 8))),
+    ])
+    def test_second_augmentation_cancels_flow(self, g, w, targets, want):
+        assert two_disjoint_paths(g, w, targets) == want
+        assert flow_network_disjoint_paths(g, w, targets) == want
+
+    def test_matches_flow_network_on_atlas(self):
+        # every graph with 3 to 7 vertices, connected or not, every start
+        # and every target set of 2 or 3 other vertices
+        checked = 0
+        for G in nx.graph_atlas_g():
+            n = G.number_of_nodes()
+            if n < 3:
+                continue
+            g = Graph(n, list(G.edges()))
+            for w in range(n):
+                others = [v for v in range(n) if v != w]
+                for size in (2, 3):
+                    for targets in combinations(others, size):
+                        assert (disjoint_paths_outcome(two_disjoint_paths, g, w, targets)
+                                == disjoint_paths_outcome(flow_network_disjoint_paths,
+                                                          g, w, targets)), (g.edges, w, targets)
+                        checked += 1
+        assert checked > 250000
+
+    def test_matches_flow_network_on_random_graphs(self):
+        rng = random.Random(1956)
+        for trial in range(400):
+            n = rng.randint(6, 60)
+            g = random_connected(n, min(1.0, (math.log(n) + rng.choice((1, 2, 4))) / n),
+                                 seed=trial)
+            for w in rng.sample(range(n), 3):
+                others = [v for v in range(n) if v != w]
+                targets = rng.sample(others, rng.randint(2, max(2, n // 3)))
+                assert (disjoint_paths_outcome(two_disjoint_paths, g, w, targets)
+                        == disjoint_paths_outcome(flow_network_disjoint_paths, g, w, targets)
+                        ), (g.edges, w, targets)
 
 
 class TestDisjointOddCycles:

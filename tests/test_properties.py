@@ -1,6 +1,7 @@
 """Property tests against independent oracles (test-only), on random
-connected graphs drawn by hypothesis: networkx for the decompositions, and
-one witness BFS per vertex pair for the all-pairs walk checks."""
+connected graphs drawn by hypothesis: networkx for the decompositions and
+disjoint paths, and one witness BFS per vertex pair for the all-pairs walk
+checks."""
 
 import networkx as nx
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
                         bipartition, blocks, bridges, exact_pw, pw_auto,
-                        shortest_odd_cycle, verify_all_pairs,
+                        shortest_odd_cycle, two_disjoint_paths, verify_all_pairs,
                         verify_all_pairs_directed, walk_reachable,
                         walk_reachable_directed)
 
@@ -75,6 +76,32 @@ def test_bipartition_matches_networkx(g):
 def test_shortest_odd_cycle_length_matches_networkx(g):
     cyc = shortest_odd_cycle(g)
     assert (None if cyc is None else len(cyc)) == odd_girth(to_nx(g))
+
+
+@PROPERTY
+@given(connected(max_n=12), st.data())
+def test_two_disjoint_paths_match_networkx(g, data):
+    # Menger: the pair exists exactly when two internally disjoint paths
+    # join w to a new vertex s adjacent to every target
+    if g.n < 3:
+        return
+    w = data.draw(st.integers(0, g.n - 1))
+    others = [v for v in range(g.n) if v != w]
+    targets = set(data.draw(st.lists(st.sampled_from(others), min_size=2, unique=True)))
+    G = to_nx(g)
+    G.add_edges_from((g.n, t) for t in targets)
+    try:
+        p1, p2 = two_disjoint_paths(g, w, targets)
+    except ValueError as exc:
+        assert "no two" in str(exc)
+        assert nx.node_connectivity(G, w, g.n) < 2
+        return
+    assert nx.node_connectivity(G, w, g.n) >= 2
+    assert p1[0] == p2[0] == w and p1[-1] < p2[-1]
+    assert {p1[-1], p2[-1]} <= targets
+    assert targets.isdisjoint(p1[:-1] + p2[:-1])
+    assert len(set(p1 + p2)) == len(p1) + len(p2) - 1
+    assert all(g.has_edge(x, y) for p in (p1, p2) for x, y in zip(p, p[1:]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -1,8 +1,11 @@
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from properwalk import verify
 from properwalk import (Digraph, EdgeColoring, Graph, bipartition,
                         bowtie_digraph, connected_bipartite_graphs,
                         connected_graphs, cycle, directed_cycle, path_graph,
@@ -304,3 +307,63 @@ class TestAllPairsAgainstPairwiseOracle:
         assert walk_reachable(g, col, 0, i)[0]
         assert not walk_reachable(g, col, 0, i + 1)[0]
         assert verify_all_pairs(g, col) == (False, (0, i + 1))
+
+
+def first_path_failure_by_pairs(g, col, directed=False):
+    """Pairwise oracle for verify._first_path_failure: path_reachable per
+    pair, u < v on a graph and ordered on a digraph."""
+    for u in range(g.n):
+        for v in range(g.n):
+            if (u != v if directed else u < v) and not path_reachable(g, col, u, v):
+                return u, v
+    return None
+
+
+class TestFirstPathFailure:
+    def test_every_coloring_of_small_graphs(self):
+        # every connected graph with n <= 4 under every coloring with k <= 3
+        failed = 0
+        for n in range(1, 5):
+            for g in connected_graphs(n):
+                for k in (1, 2, 3):
+                    for colors in all_colorings(g.m, k):
+                        col = EdgeColoring(k, dict(zip(g.edges, colors)))
+                        pair = verify._first_path_failure(g, col)
+                        assert pair == first_path_failure_by_pairs(g, col)
+                        failed += pair is not None
+        assert failed > 900
+
+    def test_every_two_coloring_of_small_digraphs(self):
+        # every digraph with n <= 3, strongly connected or not
+        for n in range(1, 4):
+            slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(slots)):
+                d = Digraph(n, [a for i, a in enumerate(slots) if mask >> i & 1])
+                for colors in all_colorings(d.m, 2):
+                    col = EdgeColoring(2, dict(zip(d.arcs, colors)))
+                    assert (verify._first_path_failure(d, col)
+                            == first_path_failure_by_pairs(d, col, directed=True))
+
+    def test_guard_and_coloring_check(self):
+        g = path_graph(17)
+        with pytest.raises(ValueError, match="limited"):
+            verify._first_path_failure(g, EdgeColoring(1, {e: 1 for e in g.edges}))
+        with pytest.raises(ColoringMismatchError):
+            verify._first_path_failure(path_graph(3), EdgeColoring(1, {(0, 1): 1}))
+
+
+def test_pairs_and_adjacency_stay_in_verify():
+    """cli.py and exact.py ask verify for answers; how the vertex pairs are
+    enumerated and the colored adjacency is built stays inside verify."""
+    hidden = {"_colored_adjacency", "_colored_out_adjacency", "_path_adjacency", "_path_dfs"}
+    for name in ("cli.py", "exact.py"):
+        tree = ast.parse(Path(verify.__file__).with_name(name).read_text())
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        assert not used & hidden, (name, sorted(used & hidden))
