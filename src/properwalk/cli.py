@@ -158,6 +158,12 @@ def _cmd_verify(args) -> int:
     if pair is None:
         print("PASS")
         return 0
+    # a pair fails on every disconnected input: a usage error, as in
+    # verify_all_pairs, checked only once a pair has failed
+    if args.directed and not g.is_strongly_connected():
+        raise ValueError("digraph is not strongly connected")
+    if not args.directed and not g.is_connected():
+        raise ValueError("graph is not connected")
     print(f"FAIL {pair[0]} {pair[1]}")
     return 1
 

@@ -442,8 +442,9 @@ def reduce_theta(g: Graph):
 
 
 def _reduce_theta(g: Graph, soc: tuple[int, ...]):
-    w = min(v for v in range(g.n) if v not in set(soc))
-    q1, q2 = two_disjoint_paths(g, w, set(soc))
+    on_cycle = set(soc)
+    w = min(v for v in range(g.n) if v not in on_cycle)
+    q1, q2 = two_disjoint_paths(g, w, on_cycle)
     third = tuple(reversed(q1)) + q2[1:]          # u .. w .. v
     u, v = third[0], third[-1]
     arc_a, arc_b = _cycle_arcs(soc, u, v)

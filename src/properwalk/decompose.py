@@ -451,7 +451,10 @@ class Decomposition:
             return
         for blk in self.blocks:
             if blk not in self._block_cycles and len(blk) > 2:
-                sub, old = self.graph.induced(blk)
+                if len(blk) == self.graph.n:    # the block is the whole graph
+                    sub, old = self.graph, range(self.graph.n)
+                else:
+                    sub, old = self.graph.induced(blk)
                 cyc = shortest_odd_cycle(sub)
                 self._block_cycles[blk] = cyc and tuple(old[v] for v in cyc)
             if self._block_cycles.get(blk):

@@ -10,9 +10,10 @@ Each search checks its first _HEAD colorings one at a time with the
 verifiers' all-pairs walk check, one SCC pass over the (vertex, last color)
 states.  With numpy and at most 63 vertices, the rest of the level goes
 through a numpy kernel in blocks of consecutive colorings, one uint64 lane
-per coloring: a bit-parallel fixpoint over the arcs.  The lowest passing
-lane is taken, so witness and explored count match the one-at-a-time
-search.  Without numpy the whole search runs on the SCC pass.
+per coloring: a bit-parallel fixpoint over the arcs, seeded with the empty
+walk, at one AND and one OR per arc per sweep.  The lowest passing lane is
+taken, so witness and explored count match the one-at-a-time search.
+Without numpy the whole search runs on the SCC pass.
 
 Before either check, a coloring that strands a leaf is rejected: if x has
 a single edge or arc e, to y, and every other edge leaving y has e's color,
@@ -45,8 +46,9 @@ except ImportError:        # pragma: no cover - exercised in a subprocess test
 PATH_VERTEX_LIMIT = 10
 # Colorings each search checks one at a time before batching: one numpy
 # block of the rest of a level, leaf filter included, costs as much as about
-# 53 (k = 2) to 77 (k = 3) of those checks, median 72, on 6-vertex graphs
-# (2-vCPU x86 VM).
+# 35 (k = 2) to 41 (k = 3) of those checks, median 39, on 6-vertex graphs
+# (2-vCPU x86 VM).  32 lost on the many tiny searches: their slowest calls
+# took 40 % longer.
 _HEAD = 64
 _LANES = 1024       # most colorings in one numpy block
 
@@ -263,40 +265,54 @@ def _assemble(heads, tails):
 def _block_ok(k, nbrs, lanes):
     """The all-pairs walk check on every row of ``lanes`` (one coloring of
     the edges of ``nbrs`` per row) at once; returns one bool per row.
-    reach[c, v] holds one uint64 per lane whose bit u says that source u
-    reaches v by a walk ending in color c + 1.  Each sweep runs over every
-    arc and repeats until no lane changes, so the arc order sets only the
-    number of sweeps; an arc of color c updates only the lanes where its
-    edge has color c, through an all-ones lane mask."""
+    reach[v, c] holds one uint64 per lane whose bit u says that source u
+    reaches v by a walk ending in color c + 1, or u = v: the empty walk
+    seeds bit v into every row of v, since it may leave v along any color.
+
+    Each sweep visits the tails a in vertex order.  avail[c], the sources
+    whose walks may leave a along color c + 1, is the OR of a's rows other
+    than c: a reversed view at k = 2, k - 2 ORs per color into a shared
+    buffer at k >= 3, the seed alone at k = 1.  Each arc a -> b of edge e
+    then costs one AND with picks[e], whose row c is all ones in the lanes
+    where e has color c + 1, and one OR into reach[b].  Sweeps repeat until
+    no lane changes; the answer is the least fixpoint, so the order sets
+    only the number of sweeps."""
     n = len(nbrs)
     size = len(lanes)
     picks = _np.where(lanes.T[:, None, :] == _np.arange(1, k + 1)[:, None],
                       _np.uint64(2 ** 64 - 1), _np.uint64(0))
-    reach = _np.zeros((k, n, size), dtype=_np.uint64)
-    zero = _np.zeros(size, dtype=_np.uint64)
-    steps = []
+    seeds = _np.uint64(1) << _np.arange(n, dtype=_np.uint64)
+    reach = _np.empty((n, k, size), dtype=_np.uint64)
+    reach[...] = seeds[:, None, None]
+    shared = _np.empty((k, size), dtype=_np.uint64)
+    tails = []
     for a, row in enumerate(nbrs):
-        bit = _np.uint64(1 << a)
-        for b, e in row:
+        ors = []
+        if k == 1:
+            avail = seeds[a]
+        elif k == 2:
+            avail = reach[a, ::-1]
+        else:
+            avail = shared
             for c in range(k):
-                others = [reach[c2, a] for c2 in range(k) if c2 != c] or [zero]
-                steps.append((bit, others[0], others[1:], picks[e, c], reach[c, b]))
-    work = _np.empty(size, dtype=_np.uint64)
+                first, second, *rest = [reach[a, c2] for c2 in range(k) if c2 != c]
+                ors.append((shared[c], first, second, rest))
+        tails.append((ors, avail, [(picks[e], reach[b]) for b, e in row]))
+    work = _np.empty((k, size), dtype=_np.uint64)
     seen = _np.empty_like(reach)
     while True:
         seen[...] = reach
-        for bit, first, others, pick, target in steps:
-            _np.bitwise_or(first, bit, out=work)
-            for row in others:
-                _np.bitwise_or(work, row, out=work)
-            _np.bitwise_and(work, pick, out=work)
-            _np.bitwise_or(target, work, out=target)
+        for ors, avail, arcs in tails:
+            for out, first, second, rest in ors:
+                _np.bitwise_or(first, second, out=out)
+                for other in rest:
+                    _np.bitwise_or(out, other, out=out)
+            for pick, target in arcs:
+                _np.bitwise_and(avail, pick, out=work)
+                _np.bitwise_or(target, work, out=target)
         if _np.array_equal(seen, reach):
             break
-    cover = reach[0]
-    for row in reach[1:]:
-        cover |= row
-    cover |= (_np.uint64(1) << _np.arange(n, dtype=_np.uint64))[:, None]
+    cover = _np.bitwise_or.reduce(reach, axis=1)
     return (cover == _np.uint64((1 << n) - 1)).all(axis=0)
 
 

@@ -56,11 +56,13 @@ class Graph:
             seen.add(e)
         self.n = n
         self.edges = tuple(sorted(seen))
+        # sorted edges list each vertex's lower neighbors in increasing
+        # order, then its higher ones: every list comes out sorted
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj = tuple(map(tuple, adj))
         self._connected = None
 
     @property
@@ -142,8 +144,8 @@ class Digraph:
         for u, v in self.arcs:
             out[u].append(v)
             inc[v].append(u)
-        self._out = tuple(tuple(sorted(a)) for a in out)
-        self._in = tuple(tuple(sorted(a)) for a in inc)
+        self._out = tuple(map(tuple, out))      # sorted, as the arcs are
+        self._in = tuple(map(tuple, inc))
 
     @property
     def m(self) -> int:

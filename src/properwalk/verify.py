@@ -36,17 +36,21 @@ def _check_vertex(g, v):
 
 def _colored_adjacency(g: Graph | Digraph, c: EdgeColoring):
     """Sorted (y, color) lists per vertex: both directions of each edge of a
-    graph, the out-arcs of a digraph."""
+    graph, the out-arcs of a digraph.  The edges are sorted, so each list
+    comes out sorted, as in Graph.  ``c`` must have passed validate_for(g):
+    a graph's edge may be keyed in either orientation."""
     adj = [[] for _ in range(g.n)]
+    a = c.assignment
     if isinstance(g, Digraph):
         for u, v in g.arcs:
-            adj[u].append((v, c.assignment[(u, v)]))
+            adj[u].append((v, a[(u, v)]))
     else:
-        for u, v in g.edges:
-            col = c.color(u, v)
+        for e in g.edges:
+            u, v = e
+            col = a.get(e) or a[(v, u)]
             adj[u].append((v, col))
             adj[v].append((u, col))
-    return [sorted(a) for a in adj]
+    return adj
 
 
 def _state_search(adj, u, v, start_colors, end_colors):

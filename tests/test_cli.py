@@ -150,6 +150,30 @@ class TestVerify:
         code, out, _ = run("verify", gpath, cpath, "--directed", *flags)
         assert (code, out) == want
 
+    @pytest.mark.parametrize("flags, err", [
+        ((), "error: graph is not connected\n"),
+        (("--path",), "error: graph is not connected\n"),
+        (("--directed",), "error: digraph is not strongly connected\n"),
+        (("--directed", "--path"), "error: digraph is not strongly connected\n"),
+    ])
+    def test_disconnected_is_usage_error(self, run, tmp_path, flags, err):
+        gpath = write(tmp_path, "g.txt", "0 1\n2 3\n")
+        cpath = write(tmp_path, "c.txt", "k 1\n0 1 1\n2 3 1\n")
+        assert run("verify", gpath, cpath, *flags) == (2, "", err)
+
+    @pytest.mark.parametrize("flags", [(), ("--path",)])
+    def test_weakly_connected_digraph_is_usage_error(self, run, tmp_path, flags):
+        gpath = write(tmp_path, "d.txt", "0 1\n1 2\n")
+        cpath = write(tmp_path, "c.txt", "k 2\n0 1 1\n1 2 2\n")
+        assert run("verify", gpath, cpath, "--directed", *flags) == (
+            2, "", "error: digraph is not strongly connected\n")
+
+    def test_disconnected_pair_is_an_answer(self, run, tmp_path):
+        gpath = write(tmp_path, "g.txt", "0 1\n2 3\n")
+        cpath = write(tmp_path, "c.txt", "k 1\n0 1 1\n2 3 1\n")
+        assert run("verify", gpath, cpath, "--pair", "0", "2")[:2] == (1, "FAIL 0 2\n")
+        assert run("verify", gpath, cpath, "--pair", "0", "1")[:2] == (0, "PASS\n")
+
     def test_coloring_mismatch_is_usage_error(self, run, tmp_path):
         gpath = write(tmp_path, "p3.txt", "0 1\n1 2\n")
         cpath = write(tmp_path, "c.txt", "k 1\n0 1 1\n")
@@ -291,13 +315,13 @@ class TestParserReuse:
         assert run("exact", star) == (1, "no coloring with at most 3 colors\n", "")
 
     def test_directed_flag_not_kept(self, builds, run, tmp_path):
-        # the directed reading of this file lacks a 1 -> 0 walk; the
+        # the directed reading of this file lacks a 0 -> 2 walk; the
         # undirected reading passes
-        gpath = write(tmp_path, "p3.txt", "0 1\n1 2\n")
-        cpath = write(tmp_path, "c.txt", "k 2\n0 1 1\n1 2 2\n")
-        assert run("verify", gpath, cpath, "--directed") == (1, "FAIL 1 0\n", "")
+        gpath = write(tmp_path, "c3.txt", "0 1\n1 2\n2 0\n")
+        cpath = write(tmp_path, "c.txt", "k 2\n0 1 1\n1 2 1\n2 0 2\n")
+        assert run("verify", gpath, cpath, "--directed") == (1, "FAIL 0 2\n", "")
         assert run("verify", gpath, cpath) == (0, "PASS\n", "")
-        assert run("verify", gpath, cpath, "--directed") == (1, "FAIL 1 0\n", "")
+        assert run("verify", gpath, cpath, "--directed") == (1, "FAIL 0 2\n", "")
 
     def test_usage_error_then_success(self, builds, run):
         code, out, err = run("exact")

@@ -237,6 +237,24 @@ class TestBlocks:
                 assert all(c == 1 for c in count.values()), g.edges
 
 
+class TestOddBlocks:
+    def test_whole_graph_block_is_searched_in_place(self, monkeypatch):
+        # a block that is the whole graph needs no induced copy; a smaller
+        # one is searched in its copy and mapped back
+        searched = []
+        real = decompose.shortest_odd_cycle
+        monkeypatch.setattr(decompose, "shortest_odd_cycle",
+                            lambda g: searched.append(g) or real(g))
+        g = cycle(5)
+        assert list(decompose.decomposition(g).odd_blocks()) == [(frozenset(range(5)), real(g))]
+        assert searched == [g] and searched[0] is g
+        g = two_triangles_shared_vertex()
+        searched.clear()
+        want = [(frozenset({0, 1, 2}), (0, 1, 2)), (frozenset({0, 3, 4}), (0, 3, 4))]
+        assert list(decompose.decomposition(g).odd_blocks()) == want
+        assert [h.n for h in searched] == [3, 3]
+
+
 class TestCore:
     def test_two_squares_with_middle(self):
         g = two_squares_with_middle()

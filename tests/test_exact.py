@@ -228,9 +228,9 @@ class TestBlockKernel:
     pass, lane by lane."""
 
     @staticmethod
-    def assert_lanes_match(n, pairs, bidirectional):
+    def assert_lanes_match(n, pairs, bidirectional, ks=(1, 2, 3)):
         nbrs = exact._neighbor_table(n, pairs, bidirectional)
-        for k in (1, 2, 3):
+        for k in ks:
             seqs = list(canonical_colorings(len(pairs), k))
             lanes = np.array(seqs, dtype=np.uint8).reshape(len(seqs), len(pairs))
             want = [exact._first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None
@@ -245,6 +245,14 @@ class TestBlockKernel:
     def test_every_coloring_of_small_digraphs(self):
         for d in scc_digraphs(3):
             self.assert_lanes_match(d.n, d.arcs, False)
+
+    def test_four_colors(self):
+        # k = 4 is the first level whose avail rows OR three other colors
+        for n in range(1, 5):
+            for g in connected_graphs(n):
+                self.assert_lanes_match(g.n, g.edges, True, ks=(4,))
+        for d in scc_digraphs(3):
+            self.assert_lanes_match(d.n, d.arcs, False, ks=(4,))
 
     def test_blocks_follow_canonical_order(self, monkeypatch):
         # a kernel that passes one chosen coloring: the search must stop on

@@ -252,3 +252,47 @@ class TestConnectivityCache:
         fresh.is_connected()
         assert sub == fresh and hash(sub) == hash(fresh)
         assert len({sub, fresh, Graph(sub.n, sub.edges)}) == 1
+
+
+def assert_sorted_adjacency(g, flips=()):
+    """Neighbor lists and verify's colored adjacency come out sorted without
+    a sort.  On a graph the coloring keys edge i as (v, u) when flips[i]
+    is set; a digraph's arcs keep their orientation."""
+    from properwalk.verify import _colored_adjacency
+    directed = isinstance(g, Digraph)
+    pairs = g.arcs if directed else g.edges
+    flips = list(flips) + [False] * len(pairs)
+    col = EdgeColoring(3, {((v, u) if flip else (u, v)): 1 + i % 3
+                           for i, ((u, v), flip) in enumerate(zip(pairs, flips))})
+    col.validate_for(g)
+    if directed:
+        lists = [g.out_neighbors(v) for v in range(g.n)] + [g.in_neighbors(v) for v in range(g.n)]
+        want = [sorted((v, col.color(u, v)) for v in g.out_neighbors(u)) for u in range(g.n)]
+    else:
+        lists = [g.neighbors(v) for v in range(g.n)]
+        want = [sorted((v, col.color(u, v)) for v in g.neighbors(u)) for u in range(g.n)]
+    assert all(list(a) == sorted(a) for a in lists), pairs
+    assert _colored_adjacency(g, col) == want, pairs
+
+
+class TestSortedAdjacency:
+    def test_atlas(self):
+        # every graph with 1 to 7 vertices, edges given in both orientations,
+        # and the digraph of its arcs u -> v plus every third one reversed
+        for G in nx.graph_atlas_g()[1:]:
+            edges = list(G.edges())
+            flips = [i % 2 == 1 for i in range(len(edges))]
+            g = Graph(G.number_of_nodes(), [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)])
+            assert_sorted_adjacency(g, flips)
+            arcs = [(max(u, v), min(u, v)) for u, v in edges]
+            arcs += [(v, u) for u, v in arcs[::3]]
+            assert_sorted_adjacency(Digraph(g.n, arcs))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(any_graph(max_n=12), st.data())
+    def test_random(self, g, data):
+        flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        assert_sorted_adjacency(g, flips)
+        vertex = st.integers(0, g.n - 1)
+        arcs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * g.n))
+        assert_sorted_adjacency(Digraph(g.n, {(u, v) for u, v in arcs if u != v}))

@@ -1,12 +1,14 @@
 """Property tests against independent oracles (test-only), on random
 connected graphs drawn by hypothesis: networkx for the decompositions and
-disjoint paths, and one witness BFS per vertex pair for the all-pairs walk
-checks."""
+disjoint paths, one witness BFS per vertex pair for the all-pairs walk
+checks, and verify's SCC pass for the exact search's numpy block kernel."""
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import properwalk.exact as exact
 from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
                         bipartition, blocks, bridges, exact_pw, pw_auto,
                         shortest_odd_cycle, two_disjoint_paths, verify_all_pairs,
@@ -27,6 +29,19 @@ def connected(draw, max_n=10):
             edges.add((min(u, v), max(u, v)))
     perm = draw(st.permutations(range(n)))
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def strongly_connected(draw, max_n=10):
+    """A random Hamiltonian cycle plus random extra arcs, on 2..max_n vertices."""
+    n = draw(st.integers(2, max_n))
+    perm = draw(st.permutations(range(n)))
+    arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
+        if u != v:
+            arcs.add((u, v))
+    return Digraph(n, arcs)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -152,3 +167,23 @@ def test_all_pairs_directed_matches_pairwise_oracle(g, data):
     first = next(((u, v) for u in range(d.n) for v in range(d.n)
                   if u != v and not walk_reachable_directed(d, col, u, v)[0]), None)
     assert verify_all_pairs_directed(d, col) == (first is None, first)
+
+
+@PROPERTY
+@given(st.booleans(), st.data())
+def test_block_kernel_matches_scc_pass(directed, data):
+    # arbitrary rows of colors, not only canonical ones, lane by lane
+    if directed:
+        d = data.draw(strongly_connected(max_n=12))
+        n, pairs = d.n, d.arcs
+    else:
+        g = data.draw(connected(max_n=12))
+        n, pairs = g.n, g.edges
+    k = data.draw(st.integers(2, 4))
+    rows = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lanes = rng.integers(1, k + 1, size=(rows, len(pairs)), dtype=np.uint8)
+    nbrs = exact._neighbor_table(n, pairs, not directed)
+    want = [exact._first_failure([[(y, int(s[e])) for y, e in row] for row in nbrs], k) is None
+            for s in lanes]
+    assert exact._block_ok(k, nbrs, lanes).tolist() == want
