@@ -1,10 +1,20 @@
-"""Golden determinism test: ``pw_auto``'s k, status, provenance and sorted
-edge assignment are pinned for every connected graph with n <= 5 and for each
-undirected ``generate()`` family at two sizes.
+"""Golden determinism tests.
+
+``tests/data/pw_auto_golden.json`` pins ``pw_auto``'s k, status, provenance
+and sorted edge assignment for every connected graph with n <= 5 and for
+each undirected ``generate()`` family at two sizes.
+
+``tests/data/construct_golden.json`` pins, on the same graphs, what the
+direct constructions and the decompositions they share return:
+``bipartition``, ``shortest_odd_cycle``, ``cycle_connector``,
+``color_tree`` on the trees, ``color_unicyclic3`` on the cyclic graphs,
+``color_two_odd_cycles2`` on the layouts ``disjoint_odd_cycles`` finds, and
+``color_theta_block2`` on the 2-connected, nonbipartite, noncomplete graphs,
+plus forty sparse random graphs.
 
 A refactor of the decompositions or the constructions must leave every line
-of ``tests/data/pw_auto_golden.json`` unchanged.  Regenerate the file only
-for an intended change of output, and say why in CHANGES.md:
+of both files unchanged.  Regenerate them only for an intended change of
+output, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,9 +22,15 @@ for an intended change of output, and say why in CHANGES.md:
 import json
 from pathlib import Path
 
-from properwalk import connected_graphs, generate, pw_auto
+from properwalk import (TwoOddLayout, bipartition, blocks, color_theta_block2,
+                        color_tree, color_two_odd_cycles2, color_unicyclic3,
+                        connected_graphs, cycle_connector, disjoint_odd_cycles,
+                        generate, pw_auto, random_connected,
+                        shortest_odd_cycle)
 
-GOLDEN = Path(__file__).parent / "data" / "pw_auto_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "pw_auto_golden.json"
+CONSTRUCT_GOLDEN = DATA / "construct_golden.json"
 
 # (family, params, seed): two sizes per undirected family; two_triangles
 # takes no parameters, so it appears once.  The extra random draws reach the
@@ -45,25 +61,78 @@ def cases():
         yield f"{family}{params} seed={seed}", generate(family, *params, seed=seed)
 
 
+def construct_cases():
+    """``cases()`` plus forty sparse random draws, which reach two-odd-cycle
+    layouts whose connector is a path and not a shared vertex."""
+    yield from cases()
+    for seed in range(40):
+        n = 9 + seed % 6
+        yield f"random_connected({n}, 0.22) seed={seed}", random_connected(n, 0.22, seed)
+
+
+def _pairs(coloring) -> list:
+    return sorted([u, v, c] for (u, v), c in coloring.assignment.items())
+
+
 def record(name, g) -> str:
     res = pw_auto(g)
-    assignment = sorted([u, v, c] for (u, v), c in res.coloring.assignment.items())
     return json.dumps({"case": name, "k": res.k, "status": res.status,
-                       "provenance": res.provenance, "assignment": assignment})
+                       "provenance": res.provenance, "assignment": _pairs(res.coloring)})
+
+
+def construct_record(name, g) -> str:
+    classes = bipartition(g)
+    odd = shortest_odd_cycle(g)
+    row = {"case": name,
+           "bipartition": classes and [sorted(side) for side in classes],
+           "shortest_odd_cycle": odd and list(odd)}
+    if g.n >= 2:
+        # the connector's BFS branch: sets that share no vertex
+        row["connector"] = [list(cycle_connector(g, (0,), (g.n - 1,)))]
+        if g.n >= 4:
+            row["connector"].append(list(cycle_connector(g, (0, 1), (g.n - 2, g.n - 1))))
+        if g.m == g.n - 1:
+            res = color_tree(g)
+            row["tree"] = [res.k, _pairs(res.coloring)]
+    if g.m >= g.n:
+        res = color_unicyclic3(g)
+        row["unicyclic"] = [res.k, _pairs(res.coloring)]
+    found = disjoint_odd_cycles(g)
+    if found is not None:
+        row["layout"] = [list(part) for part in found]
+        row["connector"].append(list(cycle_connector(g, found[0], found[1])))
+        if not g.is_complete():
+            row["two_odd"] = _pairs(color_two_odd_cycles2(g, TwoOddLayout(*found)).coloring)
+    if odd is not None and len(blocks(g)) == 1 and not g.is_complete():
+        res = color_theta_block2(g)
+        row["theta_block"] = [res.provenance, _pairs(res.coloring)]
+    return json.dumps(row)
 
 
 def current_lines() -> list[str]:
     return [record(name, g) for name, g in cases()]
 
 
-def test_pw_auto_matches_golden():
-    expected = GOLDEN.read_text().splitlines()
-    got = current_lines()
+def current_construct_lines() -> list[str]:
+    return [construct_record(name, g) for name, g in construct_cases()]
+
+
+def _matches(path, got):
+    expected = path.read_text().splitlines()
     assert len(got) == len(expected)
     for want, have in zip(expected, got):
         assert have == want
 
 
+def test_pw_auto_matches_golden():
+    _matches(GOLDEN, current_lines())
+
+
+def test_constructions_match_golden():
+    _matches(CONSTRUCT_GOLDEN, current_construct_lines())
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
+    DATA.mkdir(exist_ok=True)
     GOLDEN.write_text("\n".join(current_lines()) + "\n")
+    CONSTRUCT_GOLDEN.write_text("\n".join(current_construct_lines()) + "\n")
