@@ -13,8 +13,7 @@ import functools
 import sys
 
 from . import construct, decompose, exact, graphs, verify
-from .graphs import (ColoringMismatchError, GraphFormatError, emit_graph,
-                     generate, parse_coloring, parse_graph)
+from .graphs import emit_graph, generate, parse_coloring, parse_graph
 from .orient import robbins_orientation
 
 
@@ -26,8 +25,13 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(path: str, directed: bool = False):
-    g = parse_graph(_read_text(path), directed=directed)
-    return g
+    return parse_graph(_read_text(path), directed=directed)
+
+
+def _max_k(args) -> int:
+    if args.max_k < 1:
+        raise ValueError(f"--max-k must be at least 1, got {args.max_k}")
+    return args.max_k
 
 
 def _print_coloring(g, coloring, out_path=None):
@@ -39,12 +43,19 @@ def _print_coloring(g, coloring, out_path=None):
         sys.stdout.write(text)
 
 
+# what --directed makes of each family that has a directed form
+_DIRECTED_FORM = {"cycle": "directed_cycle", "directed_cycle": "directed_cycle",
+                  "bowtie_digraph": "bowtie_digraph"}
+
+
 def _cmd_gen(args) -> int:
-    params = args.params
     family = args.family
-    if args.directed and family == "cycle":
-        family = "directed_cycle"
-    g = generate(family, *params, seed=args.seed)
+    if args.directed:
+        if family not in _DIRECTED_FORM:
+            raise ValueError("--directed applies only to the families with a directed form: "
+                             + ", ".join(sorted(_DIRECTED_FORM)))
+        family = _DIRECTED_FORM[family]
+    g = generate(family, *args.params, seed=args.seed)
     fmt = "dot" if args.dot else "edgelist"
     sys.stdout.write(emit_graph(g, fmt=fmt))
     return 0
@@ -119,7 +130,7 @@ def _cmd_color(args) -> int:
     elif mode == "unicyclic":
         result = construct.color_unicyclic3(g)
     elif mode == "exact":
-        res = exact.exact_pw(g, max_k=args.max_k)
+        res = exact.exact_pw(g, max_k=_max_k(args))
         if res is None:
             print(f"no coloring with at most {args.max_k} colors")
             return 1
@@ -169,20 +180,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    budgets = {k: args.budget for k in range(1, args.max_k + 1)} if args.budget else None
+    max_k = _max_k(args)
+    budgets = None if args.budget is None else dict.fromkeys(range(1, max_k + 1), args.budget)
     path_mode = args.param in ("pp", "path")
     if args.directed:
         d = _load_graph(args.graph, directed=True)
         res = exact.exact_directed(d, mode="path" if path_mode else "walk",
-                                   max_k=args.max_k, budgets=budgets)
+                                   max_k=max_k, budgets=budgets)
         target = d
     else:
         g = _load_graph(args.graph)
         fn = exact.exact_pp if path_mode else exact.exact_pw
-        res = fn(g, max_k=args.max_k, budgets=budgets)
+        res = fn(g, max_k=max_k, budgets=budgets)
         target = g
     if res is None:
-        print(f"no coloring with at most {args.max_k} colors")
+        print(f"no coloring with at most {max_k} colors")
         return 1
     print(f"k {res.k}")
     print(f"# explored {res.explored}")
@@ -294,9 +306,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (GraphFormatError, ColoringMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

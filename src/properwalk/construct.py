@@ -6,19 +6,23 @@ before returning; a rejected coloring is an internal error, never a result.
 Exactness claims are explicit: ``status == "exact"`` means no smaller color
 count can work for this graph, either because the exhaustive solver said so
 or because the routing established matching lower and upper bounds.
+
+The searches come from ``decompose``: ``_layers`` is the one BFS layering,
+``_bfs_forest`` the one forest BFS, and ``_hang_trees`` hangs every pendant
+forest off its colored core along it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice, product
 
 from .graphs import (ColoringResult, EdgeColoring, Graph, canonical_edge,
                      emit_graph)
-from .decompose import (Decomposition, _disjoint_odd_cycles, bipartition,
-                        cycle_connector, decomposition, rotate_cycle,
-                        shortest_odd_cycle, two_disjoint_paths)
+from .decompose import (Decomposition, _bfs_forest, _cycle_edges,
+                        _disjoint_odd_cycles, bipartition, cycle_connector,
+                        decomposition, rotate_cycle, shortest_odd_cycle,
+                        two_disjoint_paths)
 from .orient import path_anchored_orientation, robbins_orientation
 from .verify import verify_all_pairs
 from . import exact as _exact
@@ -34,22 +38,19 @@ def _finalize(g: Graph, assignment, k: int, status: str, provenance: str) -> Col
     return ColoringResult(k, coloring, status, provenance)
 
 
-def _bfs_forest(g: Graph, roots, skip=frozenset()):
-    """Multi-source BFS forest: (parent map, children in discovery order).
-    ``skip`` vertices are neither visited nor crossed."""
-    parent: dict[int, int] = {}
-    seen = set(roots) | set(skip)
-    order: list[int] = []
-    queue = deque(sorted(roots))
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
-    return parent, order
+def _hang_trees(g: Graph, assignment: dict, hub, hub_color: dict, skip=frozenset()):
+    """Color the BFS forest that hangs off the ``hub`` vertices, without
+    crossing ``skip``: an edge at hub vertex x takes hub_color[x], and every
+    deeper edge differs from its parent edge (2 after 1, else 1).  Returns
+    the forest's parent map."""
+    parent, order = _bfs_forest(g, hub, skip)
+    into: dict[int, int] = {}      # color of the forest edge into each vertex
+    for child in order:
+        par = parent[child]
+        col = hub_color[par] if par not in into else 2 if into[par] == 1 else 1
+        into[child] = col
+        assignment[canonical_edge(par, child)] = col
+    return parent
 
 
 def _cycle_edge_list(cyc):
@@ -72,41 +73,27 @@ def color_tree(t: Graph) -> ColoringResult:
         raise ValueError("input must be a tree with at least one edge")
     delta = t.max_degree()
     root = min(v for v in range(t.n) if t.degree(v) == delta)
+    parent, order = _bfs_forest(t, [root])
     assignment = {}
-    parent_color = {root: 0}
-    queue = deque([root])
-    seen = {root}
-    while queue:
-        v = queue.popleft()
-        nxt = 1
-        for w in t.neighbors(v):
-            if w in seen:
-                continue
-            if nxt == parent_color[v]:
-                nxt += 1
-            assignment[canonical_edge(v, w)] = nxt
-            parent_color[w] = nxt
-            nxt += 1
-            seen.add(w)
-            queue.append(w)
+    into = {root: 0}        # color of the edge into each vertex
+    nxt: dict[int, int] = {}
+    for w in order:         # children in neighbor order, skipping into[v]
+        v = parent[w]
+        col = nxt.get(v, 1)
+        if col == into[v]:
+            col += 1
+        assignment[canonical_edge(v, w)] = into[w] = col
+        nxt[v] = col + 1
     return _finalize(t, assignment, delta, "exact", "tree")
 
 
 def _cycle_through_first_chord(g: Graph):
     """A cycle of g: spanning-tree paths closed by the first non-tree edge."""
-    parent = {0: None}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    tree = {canonical_edge(x, p) for x, p in parent.items() if p is not None}
-    extra = next(e for e in g.edges if e not in tree)
-    a, b = extra
+    parent = _bfs_forest(g, [0])[0]
+    tree = {canonical_edge(x, p) for x, p in parent.items()}
+    a, b = next(e for e in g.edges if e not in tree)
     up_a = [a]
-    while parent[up_a[-1]] is not None:
+    while up_a[-1] in parent:
         up_a.append(parent[up_a[-1]])
     mark = {v: i for i, v in enumerate(up_a)}
     path_b = [b]
@@ -141,15 +128,8 @@ def color_unicyclic3(g: Graph) -> ColoringResult:
         assignment[canonical_edge(x, y)] = col
         at_vertex[x].add(col)
         at_vertex[y].add(col)
-    parent, order = _bfs_forest(g, cyc)
-    branch_color: dict[int, int] = {}
-    cyc_set = set(cyc)
-    for child in order:
-        par = parent[child]
-        banned = at_vertex[par] if par in cyc_set else {branch_color[par]}
-        col = min({1, 2, 3} - banned)
-        branch_color[child] = col
-        assignment[canonical_edge(par, child)] = col
+    hub_color = {v: min({1, 2, 3} - cols) for v, cols in at_vertex.items()}
+    _hang_trees(g, assignment, cyc, hub_color)
     for e in g.edges:
         assignment.setdefault(e, 1)
     k = max(assignment.values())
@@ -176,10 +156,10 @@ class ConditionViolation:
                 f"{self.bridge_count} bridges (more than two)")
 
 
-def _head_colored_component(g: Graph, vertices, class_of) -> dict:
-    """Strongly orient one 2-edge-connected vertex set and color each edge by
-    the vertex class of its arc head; directed walks then alternate colors."""
-    sub, old = g.induced(vertices)
+def _head_colored_component(sub: Graph, old, class_of) -> dict:
+    """Strongly orient one 2-edge-connected induced subgraph (``sub`` with
+    ``old`` ids, as ``Graph.induced`` gives them) and color each edge by the
+    vertex class of its arc head; directed walks then alternate colors."""
     oriented = robbins_orientation(sub)
     out = {}
     for a, b in oriented.arcs:
@@ -214,7 +194,7 @@ def _bipartite2(g: Graph, dec: Decomposition):
     assignment = {}
     for comp in dec.cores:
         if not comp.trivial:
-            assignment.update(_head_colored_component(g, comp.vertices, class_of))
+            assignment.update(_head_colored_component(*g.induced(comp.vertices), class_of))
 
     contraction = dec.contraction
     if not contraction.is_path:
@@ -264,8 +244,8 @@ def _check_layout(g: Graph, layout: TwoOddLayout) -> None:
     ca, cb, conn = layout.cycle_a, layout.cycle_b, layout.connector
     if len(ca) % 2 == 0 or len(cb) % 2 == 0:
         raise ValueError("cycles must be odd")
-    ea = {canonical_edge(*e) for e in _cycle_edge_list(ca)}
-    eb = {canonical_edge(*e) for e in _cycle_edge_list(cb)}
+    ea = _cycle_edges(ca)
+    eb = _cycle_edges(cb)
     if ea & eb:
         raise ValueError("cycles share an edge")
     for e in ea | eb:
@@ -315,14 +295,7 @@ def color_two_odd_cycles2(g: Graph, layout: TwoOddLayout) -> ColoringResult:
     if any(seen_colors[v] != {1, 2} for v in hub):
         raise AssertionError("every vertex of the two-cycle union must touch both colors")
 
-    parent, order = _bfs_forest(g, hub)
-    branch_color = {}
-    hub_set = set(hub)
-    for child in order:
-        par = parent[child]
-        col = 1 if par in hub_set else 3 - branch_color[par]
-        branch_color[child] = col
-        assignment[canonical_edge(par, child)] = col
+    _hang_trees(g, assignment, hub, dict.fromkeys(hub, 1))
     for e in g.edges:
         assignment.setdefault(e, 1)
     return _finalize(g, assignment, 2, "exact", "two odd cycles")
@@ -471,8 +444,7 @@ def _reduce_theta(g: Graph, soc: tuple[int, ...]):
 
         p = theta.inverter
         p_edges = {canonical_edge(p[i], p[i + 1]) for i in range(len(p) - 1)}
-        odd_edges = {canonical_edge(x, y) for x, y in _cycle_edge_list(odd)}
-        if not (odd_edges & p_edges):
+        if not (_cycle_edges(odd) & p_edges):
             # Escape: the inverter plus either outer arc is an odd cycle
             # edge-disjoint from the stray odd cycle.
             arc = min(_cycle_arcs(theta.cycle, theta.u, theta.v))
@@ -544,16 +516,9 @@ def _assemble_theta_coloring(g: Graph, theta: ThetaSubgraph,
         forward_color[x] = col
 
     interior = set(theta.interior)
-    parent, order = _bfs_forest(g, sorted(theta.cycle), skip=interior)
-    cyc_set = set(cyc)
-    branch_color = {}
-    for child in order:
-        par = parent[child]
-        col = forward_color[par] if par in cyc_set else 3 - branch_color[par]
-        branch_color[child] = col
-        assignment[canonical_edge(par, child)] = col
+    parent = _hang_trees(g, assignment, cyc, forward_color, interior)
 
-    outside = set(range(g.n)) - cyc_set - interior
+    outside = set(range(g.n)) - set(cyc) - interior
     inner_b = outside - set(parent)           # cannot reach the cycle off the interior
     p = theta.inverter
     ell = len(p) - 1
@@ -670,7 +635,7 @@ def _bridgeless2(g: Graph, dec: Decomposition) -> ColoringResult:
         if oclasses is None:
             raise AssertionError("every block but the one odd block must be bipartite")
         class_of = {oold[x]: (0 if x in oclasses[0] else 1) for x in range(osub.n)}
-        assignment.update(_head_colored_component(g, other, class_of))
+        assignment.update(_head_colored_component(osub, oold, class_of))
     return _finalize(g, assignment, 2, "exact", "bridgeless: one odd block")
 
 

@@ -8,6 +8,10 @@ the dispatcher builds one per call and passes it to the constructions.  Its
 core contraction and its shortest odd cycles, per block and of the whole
 graph, are computed lazily and at most once.
 
+``_layers`` is the one BFS layering (the ``bipartition`` classes, the
+``shortest_odd_cycle`` starts), ``_bfs_forest`` the one forest BFS (the
+``cycle_connector`` path, the constructions' trees and pendant forests).
+
 All operations are pure functions of immutable graphs.  Ties are broken by
 lowest vertex id and lexicographic edge order throughout, so results are
 reproducible.
@@ -112,25 +116,14 @@ def meets_two_bridge_rule(cores) -> bool:
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """Two vertex classes with no internal edge, or None if an odd cycle
-    exists.  BFS from the lowest id of each component; that vertex lands in
-    the first class."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    side0 = frozenset(v for v in range(g.n) if color[v] == 0)
-    side1 = frozenset(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
+    exists.  The classes are the parities of the ``_layers`` depths, so the
+    lowest id of each component lands in the first class; an edge inside one
+    layer closes an odd cycle."""
+    depth, ends = _layers(g)
+    if ends:
+        return None
+    return (frozenset(v for v in range(g.n) if not depth[v] & 1),
+            frozenset(v for v in range(g.n) if depth[v] & 1))
 
 
 def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
@@ -168,7 +161,7 @@ def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     the highest vertex ids joined to a dense bipartite block on the lowest
     ones, for instance, makes every block vertex's run cover the block.
     """
-    ends = _intra_layer_ends(g)
+    ends = _layers(g)[1]
     if not ends:
         return None
     limit = 2 * g.n             # beyond any shortest odd closed walk
@@ -197,9 +190,10 @@ def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     return cyc
 
 
-def _intra_layer_ends(g: Graph) -> list[int]:
-    """The endpoints of the edges inside one BFS layer, in order, with each
-    component laid out in layers from its lowest vertex."""
+def _layers(g: Graph) -> tuple[list[int], list[int]]:
+    """The one BFS layering: each component is laid out in layers from its
+    lowest vertex.  Returns the depth of every vertex and, in order, the
+    endpoints of the edges inside one layer."""
     depth = [-1] * g.n
     ends = set()
     for root in range(g.n):
@@ -214,7 +208,26 @@ def _intra_layer_ends(g: Graph) -> list[int]:
                     queue.append(y)
                 elif depth[y] == depth[x]:
                     ends.add(x)
-    return sorted(ends)
+    return depth, sorted(ends)
+
+
+def _bfs_forest(g: Graph, roots, skip=frozenset()):
+    """The one multi-source BFS forest: (parent map, the vertices it reaches
+    in discovery order), from the roots in increasing order.  Roots have no
+    parent; ``skip`` vertices are neither visited nor crossed."""
+    parent: dict[int, int] = {}
+    seen = set(roots) | set(skip)
+    order: list[int] = []
+    queue = deque(sorted(roots))
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if y not in seen:
+                seen.add(y)
+                parent[y] = x
+                order.append(y)
+                queue.append(y)
+    return parent, order
 
 
 def _odd_walk(g: Graph, s: int, limit: int):
@@ -338,24 +351,15 @@ def cycle_connector(g: Graph, c1, c2) -> tuple[int, ...]:
     shared = sorted(set(c1) & set(c2))
     if shared:
         return (shared[0],)
-    side1 = set(c1)
+    parent, order = _bfs_forest(g, c1)
     side2 = set(c2)
-    prev: dict[int, int | None] = {v: None for v in sorted(side1)}
-    queue = deque(sorted(side1))
-    while queue:
-        x = queue.popleft()
-        if x in side2:
-            path = []
-            node: int | None = x
-            while node is not None:
-                path.append(node)
-                node = prev[node]
-            return tuple(reversed(path))
-        for y in g.neighbors(x):
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    raise AssertionError("cycles lie in different components")
+    end = next((v for v in order if v in side2), None)
+    if end is None:
+        raise AssertionError("cycles lie in different components")
+    path = [end]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 def disjoint_odd_cycles(g: Graph):

@@ -36,6 +36,19 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
+def _reached(neighbors, src: int) -> set[int]:
+    """The one reachability search: the vertices reachable from src, where
+    ``neighbors(x)`` lists the vertices one step from x."""
+    seen = {src}
+    stack = [src]
+    while stack:
+        for y in neighbors(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1."""
 
@@ -85,15 +98,7 @@ class Graph:
         """One search on the first call; the graph never changes, so the
         answer is kept for every later call."""
         if self._connected is None:
-            seen = {0}
-            stack = [0] if self.n > 1 else []
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            self._connected = self.n <= 1 or len(seen) == self.n
+            self._connected = self.n <= 1 or len(_reached(self.neighbors, 0)) == self.n
         return self._connected
 
     def is_complete(self) -> bool:
@@ -158,21 +163,9 @@ class Digraph:
         return self._in[v]
 
     def is_strongly_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-
-        def covers(adj):
-            seen = {0}
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            return len(seen) == self.n
-
-        return covers(self._out) and covers(self._in)
+        """Vertex 0 reaches every vertex, and every vertex reaches it."""
+        return self.n <= 1 or all(len(_reached(step, 0)) == self.n
+                                  for step in (self.out_neighbors, self.in_neighbors))
 
     def __eq__(self, other):
         return isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs

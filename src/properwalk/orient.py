@@ -3,10 +3,9 @@ and the path-anchored orientation used for coloring around an anchor path."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Digraph, Graph
+from .graphs import Digraph, Graph, _reached
 from .decompose import two_disjoint_paths
 
 
@@ -21,12 +20,10 @@ def robbins_orientation(h: Graph) -> Digraph:
     if not h.is_connected():
         raise ValueError("graph is not connected")
 
-    disc = [0] * h.n
+    visited = [False] * h.n
+    visited[0] = True
     arcs = []
     oriented = set()
-    counter = 1
-    disc[0] = counter
-    counter += 1
     stack = [(0, 0)]
     while stack:
         v, i = stack.pop()
@@ -40,9 +37,8 @@ def robbins_orientation(h: Graph) -> Digraph:
             continue
         oriented.add(e)
         arcs.append((v, w))
-        if not disc[w]:
-            disc[w] = counter
-            counter += 1
+        if not visited[w]:
+            visited[w] = True
             stack.append((w, 0))
 
     d = Digraph(h.n, arcs)
@@ -129,12 +125,4 @@ def path_anchored_orientation(h: Graph, p) -> PathAnchoredOrientation:
 
 def reaches(d: Digraph, src: int) -> set[int]:
     """Vertices reachable from src along arcs."""
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in d.out_neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+    return _reached(d.out_neighbors, src)

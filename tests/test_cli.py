@@ -35,6 +35,14 @@ class TestGen:
         assert code == 0 and out.splitlines()[0] == "3 3"
         assert "2 0" in out  # wraparound arc kept in arc order
 
+    def test_directed_needs_a_directed_form(self, run):
+        code, out, err = run("gen", "path", "3", "--directed")
+        assert (code, out) == (2, "")
+        assert err == ("error: --directed applies only to the families with a directed "
+                       "form: bowtie_digraph, cycle, directed_cycle\n")
+        code, out, _ = run("gen", "bowtie_digraph", "--directed")
+        assert code == 0 and out.splitlines()[0] == "5 6"
+
     def test_dot(self, run):
         code, out, _ = run("gen", "complete", "3", "--dot")
         assert code == 0 and out.startswith("graph g {")
@@ -230,6 +238,19 @@ class TestExact:
         gpath = write(tmp_path, "c6.txt", "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
         code, _, err = run("exact", gpath, "--budget", "5")
         assert code == 2 and "edges" in err
+
+    def test_budget_zero_applied(self, run, tmp_path):
+        gpath = write(tmp_path, "c3.txt", "0 1\n1 2\n2 0\n")
+        assert run("exact", gpath, "--budget", "2")[0] == 2
+        code, out, err = run("exact", gpath, "--budget", "0")
+        assert code == 2 and out == "" and "edges" in err
+
+    @pytest.mark.parametrize("argv", [("exact",), ("color", "--mode", "exact")])
+    @pytest.mark.parametrize("max_k", ["0", "-1"])
+    def test_max_k_below_one_exit2(self, run, tmp_path, argv, max_k):
+        gpath = write(tmp_path, "c3.txt", "0 1\n1 2\n2 0\n")
+        assert run(argv[0], gpath, *argv[1:], "--max-k", max_k) == (
+            2, "", f"error: --max-k must be at least 1, got {max_k}\n")
 
 
 class TestExperiment:
