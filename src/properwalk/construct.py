@@ -7,9 +7,9 @@ Exactness claims are explicit: ``status == "exact"`` means no smaller color
 count can work for this graph, either because the exhaustive solver said so
 or because the routing established matching lower and upper bounds.
 
-The searches come from ``decompose``: ``_layers`` is the one BFS layering,
-``_bfs_forest`` the one forest BFS, and ``_hang_trees`` hangs every pendant
-forest off its colored core along it.
+The searches come from ``decompose``: ``_layers`` is the one BFS layering and
+``_bfs_forest`` the one forest BFS.  ``_hang_trees`` colors every pendant
+forest, which ``_bfs_forest`` grows off a colored core.
 """
 
 from __future__ import annotations

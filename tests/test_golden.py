@@ -4,13 +4,13 @@
 and sorted edge assignment for every connected graph with n <= 5 and for
 each undirected ``generate()`` family at two sizes.
 
-``tests/data/construct_golden.json`` pins, on the same graphs, what the
-direct constructions and the decompositions they share return:
+``tests/data/construct_golden.json`` pins, on the same graphs plus forty
+sparse random ones, what the direct constructions and the decompositions
+they share return:
 ``bipartition``, ``shortest_odd_cycle``, ``cycle_connector``,
 ``color_tree`` on the trees, ``color_unicyclic3`` on the cyclic graphs,
 ``color_two_odd_cycles2`` on the layouts ``disjoint_odd_cycles`` finds, and
-``color_theta_block2`` on the 2-connected, nonbipartite, noncomplete graphs,
-plus forty sparse random graphs.
+``color_theta_block2`` on the 2-connected, nonbipartite, noncomplete graphs.
 
 A refactor of the decompositions or the constructions must leave every line
 of both files unchanged.  Regenerate them only for an intended change of
