@@ -239,20 +239,46 @@ class TestBlocks:
 
 class TestOddBlocks:
     def test_whole_graph_block_is_searched_in_place(self, monkeypatch):
-        # a block that is the whole graph needs no induced copy; a smaller
-        # one is searched in its copy and mapped back
-        searched = []
-        real = decompose.shortest_odd_cycle
-        monkeypatch.setattr(decompose, "shortest_odd_cycle",
-                            lambda g: searched.append(g) or real(g))
+        # the layering decomposition(g) keeps starts the odd-girth search of
+        # a block that is the whole graph, and of a graph with several
+        # blocks: one _layers run each; a smaller block is searched in its
+        # induced copy and mapped back
+        runs = []
+        real = decompose._layers
         g = cycle(5)
-        assert list(decompose.decomposition(g).odd_blocks()) == [(frozenset(range(5)), real(g))]
-        assert searched == [g] and searched[0] is g
+        want = shortest_odd_cycle(g)
+        monkeypatch.setattr(decompose, "_layers", lambda h: runs.append(h) or real(h))
+        dec = decompose.decomposition(g)
+        assert list(dec.odd_blocks()) == [(frozenset(range(5)), want)]
+        assert dec.odd_cycle == want
+        assert len(runs) == 1 and runs[0] is g
         g = two_triangles_shared_vertex()
-        searched.clear()
-        want = [(frozenset({0, 1, 2}), (0, 1, 2)), (frozenset({0, 3, 4}), (0, 3, 4))]
-        assert list(decompose.decomposition(g).odd_blocks()) == want
-        assert [h.n for h in searched] == [3, 3]
+        monkeypatch.setattr(decompose, "_layers", real)
+        want = shortest_odd_cycle(g)
+        monkeypatch.setattr(decompose, "_layers", lambda h: runs.append(h) or real(h))
+        runs.clear()
+        dec = decompose.decomposition(g)
+        assert dec.odd_cycle == want
+        assert len(runs) == 1 and runs[0] is g
+        blocks_want = [(frozenset({0, 1, 2}), (0, 1, 2)), (frozenset({0, 3, 4}), (0, 3, 4))]
+        assert list(dec.odd_blocks()) == blocks_want
+        assert [h.n for h in runs] == [5, 3, 3]
+
+    def test_block_classes_are_shifted_depth_parities(self):
+        # shortest paths from vertex 0 enter a block at one cut vertex and
+        # stay inside it, so on a bipartite block the depth parity, taken
+        # relative to the block's lowest vertex, is its bipartition class
+        for n in range(2, 7):
+            for g in connected_graphs(n):
+                depth = decompose._layers(g)[0]
+                for blk in blocks(g):
+                    sub, old = g.induced(blk)
+                    classes = bipartition(sub)
+                    if classes is None:
+                        continue
+                    base = depth[old[0]]
+                    assert [(depth[v] ^ base) & 1 for v in old] == [
+                        0 if x in classes[0] else 1 for x in range(sub.n)]
 
 
 class TestCore:

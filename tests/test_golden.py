@@ -9,8 +9,10 @@ sparse random ones, what the direct constructions and the decompositions
 they share return:
 ``bipartition``, ``shortest_odd_cycle``, ``cycle_connector``,
 ``color_tree`` on the trees, ``color_unicyclic3`` on the cyclic graphs,
-``color_two_odd_cycles2`` on the layouts ``disjoint_odd_cycles`` finds, and
-``color_theta_block2`` on the 2-connected, nonbipartite, noncomplete graphs.
+``color_two_odd_cycles2`` on the layouts ``disjoint_odd_cycles`` finds,
+``color_theta_block2`` on the 2-connected, nonbipartite, noncomplete graphs,
+``color_bipartite2`` (a coloring or a violation) on the bipartite graphs with
+n >= 3, and ``color_bridgeless2`` on the bridgeless graphs with n >= 2.
 
 A refactor of the decompositions or the constructions must leave every line
 of both files unchanged.  Regenerate them only for an intended change of
@@ -22,11 +24,12 @@ output, and say why in CHANGES.md:
 import json
 from pathlib import Path
 
-from properwalk import (TwoOddLayout, bipartition, blocks, color_theta_block2,
-                        color_tree, color_two_odd_cycles2, color_unicyclic3,
-                        connected_graphs, cycle_connector, disjoint_odd_cycles,
-                        generate, pw_auto, random_connected,
-                        shortest_odd_cycle)
+from properwalk import (ColoringResult, Graph, TwoOddLayout, bipartition,
+                        blocks, bridges, color_bipartite2, color_bridgeless2,
+                        color_theta_block2, color_tree, color_two_odd_cycles2,
+                        color_unicyclic3, connected_graphs, cycle_connector,
+                        disjoint_odd_cycles, generate, pw_auto,
+                        random_connected, shortest_odd_cycle, theta)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "pw_auto_golden.json"
@@ -61,13 +64,47 @@ def cases():
         yield f"{family}{params} seed={seed}", generate(family, *params, seed=seed)
 
 
+# Graphs no other case reaches: bridgeless graphs of several blocks (a
+# triangle or a K4 minus an edge beside even blocks, whose lowest vertex lies
+# at even or odd BFS depth), bipartite chains of cores joined by bridges, and
+# the two theta blocks whose inverter traps a region off the outer cycle.
+_TRAPPED = list(theta(4, 4, 5).edges)   # outer 8-cycle, inverter 0-8-9-10-11-4
+EXTRA = [
+    ("triangle and C4 at vertex 2",
+     Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (2, 5)])),
+    ("triangle and C4 at vertex 1",
+     Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (4, 5), (1, 5)])),
+    ("n=6 blocks a", Graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)])),
+    ("n=6 blocks b", Graph(6, [(0, 3), (0, 4), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5)])),
+    ("n=6 blocks c", Graph(6, [(0, 1), (0, 5), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)])),
+    ("n=6 blocks d", Graph(6, [(0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (4, 5)])),
+    ("n=6 blocks e",
+     Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])),
+    ("K4 minus an edge and C4",
+     Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)])),
+    ("C4, triangle, C6 in a chain",
+     Graph(11, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (3, 5), (5, 6),
+                (6, 7), (7, 8), (8, 9), (9, 10), (5, 10)])),
+    ("C4, bridge, C4, bridge, path",
+     Graph(10, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (4, 5), (5, 6), (6, 7),
+                (4, 7), (5, 8), (8, 9)])),
+    ("edge, C6, bridge, C4, bridge",
+     Graph(12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (4, 7),
+                (7, 8), (8, 9), (9, 10), (7, 10), (9, 11)])),
+    ("trapped region", Graph(14, _TRAPPED + [(8, 12), (12, 10), (9, 13), (13, 11)])),
+    ("trapped region two deep",
+     Graph(14, _TRAPPED + [(8, 12), (12, 10), (12, 13), (13, 9)])),
+]
+
+
 def construct_cases():
-    """``cases()`` plus forty sparse random draws, which reach two-odd-cycle
-    layouts whose connector is a path and not a shared vertex."""
+    """``cases()``, forty sparse random draws, which reach two-odd-cycle
+    layouts whose connector is a path and not a shared vertex, and EXTRA."""
     yield from cases()
     for seed in range(40):
         n = 9 + seed % 6
         yield f"random_connected({n}, 0.22) seed={seed}", random_connected(n, 0.22, seed)
+    yield from EXTRA
 
 
 def _pairs(coloring) -> list:
@@ -106,6 +143,13 @@ def construct_record(name, g) -> str:
     if odd is not None and len(blocks(g)) == 1 and not g.is_complete():
         res = color_theta_block2(g)
         row["theta_block"] = [res.provenance, _pairs(res.coloring)]
+    if classes is not None and g.n >= 3:
+        res = color_bipartite2(g)
+        row["bipartite2"] = ([res.k, _pairs(res.coloring)] if isinstance(res, ColoringResult)
+                             else [sorted(res.component), res.bridge_count])
+    if g.n >= 2 and not bridges(g):
+        res = color_bridgeless2(g)
+        row["bridgeless2"] = [res.k, res.provenance, _pairs(res.coloring)]
     return json.dumps(row)
 
 
