@@ -9,7 +9,8 @@ or because the routing established matching lower and upper bounds.
 
 The searches come from ``decompose``: ``_layers`` is the one BFS layering and
 ``_bfs_forest`` the one forest BFS.  ``_hang_trees`` colors every pendant
-forest, which ``_bfs_forest`` grows off a colored core.
+forest, which ``_bfs_forest`` grows off a colored core.  ``_head_colored``
+colors every oriented bipartite part by its arc heads' ``_layers`` classes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import islice, product
 from .graphs import (ColoringResult, EdgeColoring, Graph, canonical_edge,
                      emit_graph)
 from .decompose import (Decomposition, _bfs_forest, _cycle_edges,
-                        _disjoint_odd_cycles, bipartition, cycle_connector,
+                        _disjoint_odd_cycles, _layers, cycle_connector,
                         decomposition, rotate_cycle, shortest_odd_cycle,
                         two_disjoint_paths)
 from .orient import path_anchored_orientation, robbins_orientation
@@ -156,15 +157,12 @@ class ConditionViolation:
                 f"{self.bridge_count} bridges (more than two)")
 
 
-def _head_colored_component(sub: Graph, old, class_of) -> dict:
-    """Strongly orient one 2-edge-connected induced subgraph (``sub`` with
-    ``old`` ids, as ``Graph.induced`` gives them) and color each edge by the
-    vertex class of its arc head; directed walks then alternate colors."""
-    oriented = robbins_orientation(sub)
-    out = {}
-    for a, b in oriented.arcs:
-        out[canonical_edge(old[a], old[b])] = 1 + class_of[old[b]]
-    return out
+def _head_colored(assignment: dict, arcs, old, klass) -> None:
+    """Color each arc a -> b of an oriented induced subgraph (``old`` maps
+    its ids to g's, as ``Graph.induced`` gives them) by the class of its
+    head, 1 + klass[b]; directed walks then alternate colors."""
+    for a, b in arcs:
+        assignment[canonical_edge(old[a], old[b])] = 1 + klass[b]
 
 
 def color_bipartite2(g: Graph):
@@ -173,9 +171,10 @@ def color_bipartite2(g: Graph):
     bridges (in which case two colors cannot suffice).
 
     Each nontrivial bridgeless-core component is strongly oriented and
-    head-colored; the bridges are then colored by walking the contracted
-    path: consecutive bridges share a color exactly when their attachment
-    vertices in the shared component lie in different classes.
+    head-colored; each bridge, oriented away from an end of the contracted
+    path, takes its head's class relative to the first bridge's head, so
+    consecutive bridges share a color exactly when their attachment vertices
+    in the shared component lie in different classes.
     """
     dec = decomposition(g)
     if g.n < 3:
@@ -186,40 +185,25 @@ def color_bipartite2(g: Graph):
 
 
 def _bipartite2(g: Graph, dec: Decomposition):
-    class_of = {v: (0 if v in dec.bipartition[0] else 1) for v in range(g.n)}
     for comp in dec.cores:
         if len(comp.incident_bridges) > 2:
             return ConditionViolation(comp.vertices, len(comp.incident_bridges))
 
+    depth = dec.depth
     assignment = {}
     for comp in dec.cores:
         if not comp.trivial:
-            assignment.update(_head_colored_component(*g.induced(comp.vertices), class_of))
-
-    contraction = dec.contraction
-    if not contraction.is_path:
-        raise AssertionError("contraction must be a path when no core touches three bridges")
-    f = contraction.graph
-    if f.m:
-        ends = [v for v in range(f.n) if f.degree(v) <= 1]
-        walk = [min(ends)]
-        prev = -1
-        while len(walk) <= f.m:
-            nxt = next(x for x in f.neighbors(walk[-1]) if x != prev)
-            prev = walk[-1]
-            walk.append(nxt)
-        by_f_edge = {fe: e for e, fe in contraction.edge_map.items()}
-        ordered = [by_f_edge[canonical_edge(walk[i], walk[i + 1])] for i in range(f.m)]
-        color = 1
-        assignment[ordered[0]] = color
-        for i in range(1, len(ordered)):
-            shared = walk[i]
-            prev_b, cur_b = ordered[i - 1], ordered[i]
-            v_prev = prev_b[0] if contraction.vertex_map[prev_b[0]] == shared else prev_b[1]
-            v_cur = cur_b[0] if contraction.vertex_map[cur_b[0]] == shared else cur_b[1]
-            if class_of[v_prev] == class_of[v_cur]:
-                color = 3 - color
-            assignment[cur_b] = color
+            sub, old = g.induced(comp.vertices)
+            _head_colored(assignment, robbins_orientation(sub).arcs, old,
+                          [depth[v] & 1 for v in old])
+    if dec.bridges:
+        # a bridge lies in every spanning forest, so the forest grown from
+        # an end core reaches the bridges' heads in path order
+        first = next(c for c in dec.cores if len(c.incident_bridges) == 1)
+        parent, order = _bfs_forest(g, first.vertices)
+        heads = [h for h in order if canonical_edge(parent[h], h) in dec.bridges]
+        for h in heads:
+            assignment[canonical_edge(parent[h], h)] = 1 + ((depth[h] ^ depth[heads[0]]) & 1)
     return _finalize(g, assignment, 2, "exact", "bipartite")
 
 
@@ -536,12 +520,10 @@ def _assemble_theta_coloring(g: Graph, theta: ThetaSubgraph,
         sub, old = g.induced(hverts)
         new_id = {o: i for i, o in enumerate(old)}
         oriented = path_anchored_orientation(sub, [new_id[x] for x in theta.interior])
-        classes = bipartition(sub)
-        if classes is None:
+        depth, ends = _layers(sub)
+        if ends:
             raise AssertionError("region off the outer cycle must be bipartite after descent")
-        for a, b in oriented.arcs.arcs:
-            col = 1 + ((0 if b in classes[0] else 1) + hphase) % 2
-            assignment[canonical_edge(old[a], old[b])] = col
+        _head_colored(assignment, oriented.arcs.arcs, old, [(d + hphase) & 1 for d in depth])
         assignment[canonical_edge(p[0], p[1])] = 3 - assignment[canonical_edge(p[1], p[2])]
         assignment[canonical_edge(p[-2], p[-1])] = 3 - assignment[canonical_edge(p[-3], p[-2])]
 
@@ -627,15 +609,14 @@ def _bridgeless2(g: Graph, dec: Decomposition) -> ColoringResult:
         inner = _theta_block2(sub, tuple(new_id[v] for v in cyc))
         for (a, b), col in inner.coloring.assignment.items():
             assignment[canonical_edge(old[a], old[b])] = col
+    # odd_blocks has searched every block, so the others are bipartite; a
+    # class is the depth parity against the block's lowest vertex
+    depth = dec.depth
     for other in dec.blocks:
-        if other == blk:
-            continue
-        osub, oold = g.induced(other)
-        oclasses = bipartition(osub)
-        if oclasses is None:
-            raise AssertionError("every block but the one odd block must be bipartite")
-        class_of = {oold[x]: (0 if x in oclasses[0] else 1) for x in range(osub.n)}
-        assignment.update(_head_colored_component(osub, oold, class_of))
+        if other != blk:
+            sub, old = g.induced(other)
+            _head_colored(assignment, robbins_orientation(sub).arcs, old,
+                          [(depth[v] ^ depth[old[0]]) & 1 for v in old])
     return _finalize(g, assignment, 2, "exact", "bridgeless: one odd block")
 
 

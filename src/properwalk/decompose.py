@@ -3,12 +3,12 @@ and its contraction, bipartitions, odd cycles, disjoint paths.
 
 ``blocks`` holds the only low-link DFS (Hopcroft and Tarjan 1973); in a
 simple graph the bridges are exactly the 2-vertex blocks.  A
-``Decomposition`` bundles one such pass with the cores and the bipartition;
-the dispatcher builds one per call and passes it to the constructions.  Its
-core contraction and its shortest odd cycles, per block and of the whole
-graph, are computed lazily and at most once.
+``Decomposition`` bundles one such pass with the cores and the one
+``_layers`` result; the dispatcher builds one per call and passes it to the
+constructions.  Its bipartition, core contraction and shortest odd cycles,
+per block and of the whole graph, are computed lazily and at most once.
 
-``_layers`` is the one BFS layering (the ``bipartition`` classes, the
+``_layers`` is the one BFS layering (every vertex class, the
 ``shortest_odd_cycle`` starts), ``_bfs_forest`` the one forest BFS (the
 ``cycle_connector`` path, the constructions' trees and pendant forests).
 
@@ -120,10 +120,12 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     lowest id of each component lands in the first class; an edge inside one
     layer closes an odd cycle."""
     depth, ends = _layers(g)
-    if ends:
-        return None
-    return (frozenset(v for v in range(g.n) if not depth[v] & 1),
-            frozenset(v for v in range(g.n) if depth[v] & 1))
+    return None if ends else _parity_classes(depth)
+
+
+def _parity_classes(depth) -> tuple[frozenset[int], frozenset[int]]:
+    return (frozenset(v for v, d in enumerate(depth) if not d & 1),
+            frozenset(v for v, d in enumerate(depth) if d & 1))
 
 
 def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
@@ -161,7 +163,11 @@ def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     the highest vertex ids joined to a dense bipartite block on the lowest
     ones, for instance, makes every block vertex's run cover the block.
     """
-    ends = _layers(g)[1]
+    return _shortest_odd_cycle(g, _layers(g)[1])
+
+
+def _shortest_odd_cycle(g: Graph, ends) -> tuple[int, ...] | None:
+    """``shortest_odd_cycle`` from the intra-layer ends ``_layers`` gave."""
     if not ends:
         return None
     limit = 2 * g.n             # beyond any shortest odd closed walk
@@ -420,12 +426,16 @@ def contract_core_graph(g: Graph) -> CoreContraction:
 @dataclass(frozen=True)
 class Decomposition:
     """The structural facts the coloring constructions rely on, for one
-    connected graph; the contraction and odd cycles are computed on demand."""
+    connected graph; the bipartition, contraction and odd cycles are
+    computed on demand.  ``depth`` and ``ends`` are its ``_layers``; on a
+    bipartite block the depth parities are the block's classes up to one
+    swap, as shortest paths from vertex 0 enter it at one cut vertex."""
 
     bridges: frozenset[tuple[int, int]]
     blocks: tuple[frozenset[int], ...]
     cores: tuple[CoreComponent, ...]
-    bipartition: tuple[frozenset[int], frozenset[int]] | None
+    depth: tuple[int, ...] = field(repr=False)
+    ends: tuple[int, ...]
     graph: Graph = field(repr=False)
     _block_cycles: dict[frozenset[int], tuple[int, ...] | None] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -447,20 +457,27 @@ class Decomposition:
         emap = {e: canonical_edge(vmap[e[0]], vmap[e[1]]) for e in cut}
         return CoreContraction(f, tuple(vmap), emap, f.max_degree() <= 2)
 
+    @cached_property
+    def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
+        """What ``bipartition`` gives for the graph, read from ``depth``."""
+        return None if self.ends else _parity_classes(self.depth)
+
     def odd_blocks(self):
         """Yield (block, a shortest odd cycle of it) for each nonbipartite
         block in block order.  A block is searched when the iteration first
-        reaches it, and never again."""
-        if self.bipartition is not None:
+        reaches it, and never again: the whole graph as ``odd_cycle``, a
+        smaller block in its induced copy."""
+        if not self.ends:
             return
         for blk in self.blocks:
             if blk not in self._block_cycles and len(blk) > 2:
                 if len(blk) == self.graph.n:    # the block is the whole graph
-                    sub, old = self.graph, range(self.graph.n)
+                    cyc = self.odd_cycle
                 else:
                     sub, old = self.graph.induced(blk)
-                cyc = shortest_odd_cycle(sub)
-                self._block_cycles[blk] = cyc and tuple(old[v] for v in cyc)
+                    cyc = shortest_odd_cycle(sub)
+                    cyc = cyc and tuple(old[v] for v in cyc)
+                self._block_cycles[blk] = cyc
             if self._block_cycles.get(blk):
                 yield blk, self._block_cycles[blk]
 
@@ -468,16 +485,12 @@ class Decomposition:
     def odd_cycle(self) -> tuple[int, ...] | None:
         """The shortest odd cycle ``shortest_odd_cycle`` gives for the whole
         graph, or None when it is bipartite."""
-        if self.bipartition is not None:
-            return None
-        if len(self.blocks) == 1:       # the only block is the graph itself
-            return next(self.odd_blocks())[1]
-        return shortest_odd_cycle(self.graph)
+        return _shortest_odd_cycle(self.graph, self.ends)
 
 
 def decomposition(g: Graph) -> Decomposition:
-    """Bridges, blocks, cores and bipartition of a connected graph, from one
-    low-link pass."""
+    """Bridges, blocks, cores and BFS layering of a connected graph, from one
+    low-link pass and one ``_layers`` run."""
     blks = blocks(g)
     cut = _bridges_of(blks)
     comp = [-1] * g.n
@@ -502,4 +515,4 @@ def decomposition(g: Graph) -> Decomposition:
         incident[comp[v]].append((u, v))
     # components were found from their lowest vertex, so they are in order
     cores = tuple(CoreComponent(frozenset(vs), tuple(inc)) for vs, inc in zip(comps, incident))
-    return Decomposition(cut, blks, cores, bipartition(g), g)
+    return Decomposition(cut, blks, cores, *map(tuple, _layers(g)), g)
