@@ -24,6 +24,7 @@ from .construct import (ConditionViolation, CycleFeetShape, ThetaSubgraph,
                         layout_from_cycles, pw_auto, reduce_theta)
 from .exact import (BudgetExceededError, ExactResult, canonical_colorings,
                     connected_bipartite_graphs, connected_graphs,
-                    exact_directed, exact_pp, exact_pw, labeled_trees)
+                    exact_directed, exact_pp, exact_pw, exact_pw_pp,
+                    labeled_trees)
 
 __version__ = "0.1.0"

@@ -181,6 +181,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     max_k = _max_k(args)
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be at least 0, got {args.budget}")
     budgets = None if args.budget is None else dict.fromkeys(range(1, max_k + 1), args.budget)
     path_mode = args.param in ("pp", "path")
     if args.directed:
@@ -205,9 +207,13 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # every argument is checked before the table starts on stdout
     if args.trials < 0:
-        print("error: trials must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("trials must be nonnegative")
+    if args.n < 1:
+        raise ValueError("need at least 1 vertex")
+    if not 0.0 <= args.p <= 1.0:
+        raise ValueError("edge probability must lie in [0, 1]")
     print("trial n m k status" + (" exact agree" if args.exact else ""))
     k_hist: dict[int, int] = {}
     statuses: dict[str, int] = {}

@@ -21,9 +21,9 @@ then a walk from x must leave y along a color other than e's and cannot,
 so with n >= 3 some vertex is unreachable from x.  This follows from the
 definition of a walk alone.
 
-exact_pw, exact_pp and exact_directed share one level loop, _solve, and
-differ only in the acceptor a walk-passing coloring must also satisfy.  The
-solver uses no theorem about the answer.
+_solve yields the walk-passing colorings in order; exact_pw, exact_pp and
+exact_directed take the first their acceptor passes; exact_pw_pp reads
+pW and pP off one stream.  The solver uses no theorem about the answer.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product
 
 from .graphs import Digraph, EdgeColoring, Graph
 from .verify import (_first_failure, _first_path_failure, verify_all_pairs,
@@ -330,13 +330,14 @@ def _neighbor_table(n, pairs, bidirectional):
     return nbrs
 
 
-def _solve(n, pairs, bidirectional, max_k, budgets, accept) -> ExactResult | None:
-    """The level loop behind every solver: the smallest k <= max_k with a
-    canonical coloring of ``pairs`` that passes the all-pairs walk check and
-    ``accept``.  A rejected candidate resumes the search after it."""
+def _solve(n, pairs, bidirectional, max_k, budgets):
+    """The level loop behind every solver: yield ExactResult(k, witness,
+    colorings explored so far) for each canonical coloring of ``pairs`` that
+    passes the all-pairs walk check, level by level up to max_k."""
     m = len(pairs)
     if m == 0:
-        return ExactResult(1, EdgeColoring(1, {}), 1)
+        yield ExactResult(1, EdgeColoring(1, {}), 1)
+        return
     nbrs = _neighbor_table(n, pairs, bidirectional)
     dead = _dead_ends(nbrs)
     total = 0
@@ -352,11 +353,13 @@ def _solve(n, pairs, bidirectional, max_k, budgets, accept) -> ExactResult | Non
             total += explored
             if not found:
                 break
-            witness = EdgeColoring(k, dict(zip(pairs, colors)))
-            if accept(witness):
-                return ExactResult(k, witness, total)
+            yield ExactResult(k, EdgeColoring(k, dict(zip(pairs, colors))), total)
             skip = True
-    return None
+
+
+def _first(results, accept) -> ExactResult | None:
+    """The first of ``results`` whose witness ``accept`` passes, or None."""
+    return next((res for res in results if accept(res.witness)), None)
 
 
 def _verified(verifier, graph):
@@ -377,7 +380,7 @@ def exact_pw(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
     with verify_all_pairs before returning."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    return _solve(g.n, g.edges, True, max_k, budgets, _verified(verify_all_pairs, g))
+    return _first(_solve(g.n, g.edges, True, max_k, budgets), _verified(verify_all_pairs, g))
 
 
 def _paths_all_pairs(g: Graph | Digraph, coloring: EdgeColoring) -> bool:
@@ -396,7 +399,19 @@ def exact_pp(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
         raise ValueError("graph is not connected")
     if g.n > PATH_VERTEX_LIMIT:
         raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
-    return _solve(g.n, g.edges, True, max_k, budgets, partial(_paths_all_pairs, g))
+    return _first(_solve(g.n, g.edges, True, max_k, budgets), partial(_paths_all_pairs, g))
+
+
+def exact_pw_pp(g: Graph, max_k: int = 3, budgets=None):
+    """(exact_pw(g, ...), exact_pp(g, ...)) from one enumeration, raising what
+    either raises; pP is the first candidate from pW's on that has paths."""
+    if not g.is_connected():
+        raise ValueError("graph is not connected")
+    if g.n > PATH_VERTEX_LIMIT:
+        raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
+    stream = _solve(g.n, g.edges, True, max_k, budgets)
+    pw = _first(stream, _verified(verify_all_pairs, g))
+    return pw, pw and _first(chain([pw], stream), partial(_paths_all_pairs, g))
 
 
 def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
@@ -411,7 +426,7 @@ def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
         raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
     accept = (_verified(verify_all_pairs_directed, d) if mode == "walk"
               else partial(_paths_all_pairs, d))
-    return _solve(d.n, d.arcs, False, max_k, budgets, accept)
+    return _first(_solve(d.n, d.arcs, False, max_k, budgets), accept)
 
 
 # ---------------------------------------------------------------------------

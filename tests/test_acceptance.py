@@ -14,7 +14,7 @@ from properwalk import (Graph, TwoOddLayout, bridgeless_core,
                         bridges, bowtie_digraph, classify_cycle_feet,
                         color_bridgeless2, color_two_odd_cycles2,
                         connected_bipartite_graphs, connected_graphs, cycle_with_feet,
-                        directed_cycle, exact_directed, exact_pp, exact_pw,
+                        directed_cycle, exact_directed, exact_pw, exact_pw_pp,
                         labeled_trees, meets_two_bridge_rule, pw_auto,
                         verify_all_pairs)
 
@@ -54,8 +54,7 @@ def test_criterion_2_trees():
     for n in range(2, 8):
         for t in labeled_trees(n):
             delta = t.max_degree()
-            rw = exact_pw(t, max_k=delta)
-            rp = exact_pp(t, max_k=delta)
+            rw, rp = exact_pw_pp(t, max_k=delta)
             assert rw is not None and rw.k == delta, t.edges
             assert rp is not None and rp.k == delta, t.edges
             checked += 1
@@ -72,8 +71,8 @@ def test_criterion_3_bipartite_characterization():
     for n in range(3, 8):
         for g in connected_bipartite_graphs(n):
             cond = meets_two_bridge_rule(bridgeless_core(g))
-            kw = exact_pw(g, max_k=max(3, g.max_degree())).k
-            kp = exact_pp(g, max_k=max(3, g.max_degree())).k
+            rw, rp = exact_pw_pp(g, max_k=max(3, g.max_degree()))
+            kw, kp = rw.k, rp.k
             assert (kw == 2) == cond, (g.edges, kw, cond)
             assert kw == kp, (g.edges, kw, kp)
             checked += 1

@@ -245,6 +245,12 @@ class TestExact:
         code, out, err = run("exact", gpath, "--budget", "0")
         assert code == 2 and out == "" and "edges" in err
 
+    def test_negative_budget_exit2(self, run, tmp_path):
+        # an invalid request, not a budget the search exceeded
+        gpath = write(tmp_path, "c3.txt", "0 1\n1 2\n2 0\n")
+        assert run("exact", gpath, "--budget", "-1") == (
+            2, "", "error: --budget must be at least 0, got -1\n")
+
     @pytest.mark.parametrize("argv", [("exact",), ("color", "--mode", "exact")])
     @pytest.mark.parametrize("max_k", ["0", "-1"])
     def test_max_k_below_one_exit2(self, run, tmp_path, argv, max_k):
@@ -283,6 +289,15 @@ class TestExperiment:
     def test_usage_error(self, run):
         code, _, _ = run("experiment", "--n", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("n, p, trials, why", [
+        ("0", "0.5", "1", "need at least 1 vertex"),
+        ("5", "1.5", "1", "edge probability must lie in [0, 1]"),
+        ("5", "-0.1", "0", "edge probability must lie in [0, 1]"),
+        ("5", "0.5", "-1", "trials must be nonnegative")])
+    def test_bad_arguments_print_no_table(self, run, n, p, trials, why):
+        assert run("experiment", "--n", n, "--p", p, "--trials", trials,
+                   "--seed", "1") == (2, "", f"error: {why}\n")
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 import subprocess
 import sys
 from itertools import accumulate, product
@@ -13,7 +14,8 @@ from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
                         bowtie_digraph, canonical_colorings, complete,
                         connected_bipartite_graphs, connected_graphs, cycle,
                         cycle_with_feet, directed_cycle, exact_directed,
-                        exact_pp, exact_pw, labeled_trees, path_graph, star,
+                        exact_pp, exact_pw, exact_pw_pp, labeled_trees,
+                        path_graph, star,
                         theta, verify_all_pairs, verify_all_pairs_directed)
 
 
@@ -152,6 +154,63 @@ class TestExactPp:
     def test_vertex_guard(self):
         with pytest.raises(ValueError, match="limited"):
             exact_pp(path_graph(11))
+
+
+def bipartite_sample(n, count, seed):
+    """Seeded connected bipartite graphs on n vertices: a random side for
+    each vertex but 0, then each cross pair an edge with probability 1/2."""
+    rng = random.Random(seed)
+    while count:
+        side = {0} | {v for v in range(1, n) if rng.random() < 0.5}
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                      if (a in side) != (b in side) and rng.random() < 0.5])
+        if g.is_connected():
+            count -= 1
+            yield g
+
+
+class TestExactPwPp:
+    """One enumeration for both answers, byte for byte what exact_pw and
+    exact_pp return one after the other."""
+
+    @staticmethod
+    def check(g, max_k, budgets=None):
+        want = (fingerprint(exact_pw(g, max_k, budgets)), fingerprint(exact_pp(g, max_k, budgets)))
+        assert tuple(map(fingerprint, exact_pw_pp(g, max_k, budgets))) == want, g.edges
+
+    def test_every_small_graph(self):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                self.check(g, max(3, g.max_degree()))
+                self.check(g, 2)            # also the searches that fail
+
+    def test_trees(self):
+        # every tree up to 6 vertices; the 16 807 labeled 7-vertex trees
+        # would take 40 s, so a seeded fifteenth of them
+        rng = random.Random(7)
+        for n in range(2, 8):
+            for t in labeled_trees(n):
+                if n < 7 or rng.random() < 1 / 15:
+                    self.check(t, t.max_degree())
+
+    def test_seven_vertex_bipartite_sample(self):
+        for g in bipartite_sample(7, 300, 7):
+            self.check(g, max(3, g.max_degree()))
+
+    def test_raises_what_either_raises(self):
+        with pytest.raises(ValueError, match="not connected"):
+            exact_pw_pp(Graph(3, [(0, 1)]))
+        with pytest.raises(ValueError, match="limited"):
+            exact_pw_pp(path_graph(11))
+        # pW = 2 here, pP = 3: only the path search reaches level 3
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
+        assert exact_pw(g, budgets={3: 4}).k == 2
+        with pytest.raises(BudgetExceededError):
+            exact_pp(g, budgets={3: 4})
+        with pytest.raises(BudgetExceededError, match="k=3"):
+            exact_pw_pp(g, budgets={3: 4})
+        with pytest.raises(BudgetExceededError, match="k=2"):
+            exact_pw_pp(g, budgets={2: 4})
 
 
 class TestExactDirected:
