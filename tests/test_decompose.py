@@ -243,25 +243,21 @@ class TestOddBlocks:
         # a block that is the whole graph, and of a graph with several
         # blocks: one _layers run each; a smaller block is searched in its
         # induced copy and mapped back
+        c5, bowtie = cycle(5), two_triangles_shared_vertex()
+        want = {g: shortest_odd_cycle(g) for g in (c5, bowtie)}
         runs = []
         real = decompose._layers
-        g = cycle(5)
-        want = shortest_odd_cycle(g)
         monkeypatch.setattr(decompose, "_layers", lambda h: runs.append(h) or real(h))
-        dec = decompose.decomposition(g)
-        assert list(dec.odd_blocks()) == [(frozenset(range(5)), want)]
-        assert dec.odd_cycle == want
-        assert len(runs) == 1 and runs[0] is g
-        g = two_triangles_shared_vertex()
-        monkeypatch.setattr(decompose, "_layers", real)
-        want = shortest_odd_cycle(g)
-        monkeypatch.setattr(decompose, "_layers", lambda h: runs.append(h) or real(h))
+        dec = decompose.decomposition(c5)
+        assert list(dec.odd_blocks()) == [(frozenset(range(5)), want[c5])]
+        assert dec.odd_cycle == want[c5]
+        assert len(runs) == 1 and runs[0] is c5
         runs.clear()
-        dec = decompose.decomposition(g)
-        assert dec.odd_cycle == want
-        assert len(runs) == 1 and runs[0] is g
-        blocks_want = [(frozenset({0, 1, 2}), (0, 1, 2)), (frozenset({0, 3, 4}), (0, 3, 4))]
-        assert list(dec.odd_blocks()) == blocks_want
+        dec = decompose.decomposition(bowtie)
+        assert dec.odd_cycle == want[bowtie]
+        assert len(runs) == 1 and runs[0] is bowtie
+        assert list(dec.odd_blocks()) == [(frozenset({0, 1, 2}), (0, 1, 2)),
+                                          (frozenset({0, 3, 4}), (0, 3, 4))]
         assert [h.n for h in runs] == [5, 3, 3]
 
     def test_block_classes_are_shifted_depth_parities(self):
