@@ -376,9 +376,6 @@ def _check_theta(g: Graph, t: ThetaSubgraph) -> None:
         fail("inverter and outer arc close an even cycle, so the theta is bipartite")
 
 
-_THETA_MAX_ROUNDS = 10000
-
-
 def reduce_theta(g: Graph):
     """Find a theta subgraph whose removal of outer-cycle vertices leaves a
     bipartite graph, or two edge-disjoint odd cycles when the descent escapes.
@@ -414,7 +411,7 @@ def _reduce_theta(g: Graph, soc: tuple[int, ...]):
     theta = ThetaSubgraph(outer, inverter)
     _check_theta(g, theta)
 
-    for _ in range(_THETA_MAX_ROUNDS):
+    while True:     # each descent strictly shortens the inverter
         cyc_set = set(theta.cycle)
         rest = sorted(set(range(g.n)) - cyc_set)
         odd = None
@@ -438,7 +435,6 @@ def _reduce_theta(g: Graph, soc: tuple[int, ...]):
             return layout_from_cycles(g, odd, second)
 
         theta = _descend(g, theta, odd)
-    raise AssertionError("theta descent failed to terminate")
 
 
 def _descend(g: Graph, theta: ThetaSubgraph, odd) -> ThetaSubgraph:

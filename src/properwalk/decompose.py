@@ -412,8 +412,6 @@ class CoreContraction:
     component to a single vertex; its edges are exactly the bridges."""
 
     graph: Graph
-    vertex_map: tuple[int, ...]                       # original vertex -> contracted vertex
-    edge_map: dict[tuple[int, int], tuple[int, int]]  # bridge -> contracted edge
     is_path: bool
 
 
@@ -450,12 +448,10 @@ class Decomposition:
         for cid, comp in enumerate(self.cores):
             for v in comp.vertices:
                 vmap[v] = cid
-        cut = sorted(self.bridges)
-        f = Graph(len(self.cores), [(vmap[u], vmap[v]) for u, v in cut])
+        f = Graph(len(self.cores), [(vmap[u], vmap[v]) for u, v in sorted(self.bridges)])
         if f.m != f.n - 1:
             raise AssertionError("contraction of the bridgeless core must be a tree")
-        emap = {e: canonical_edge(vmap[e[0]], vmap[e[1]]) for e in cut}
-        return CoreContraction(f, tuple(vmap), emap, f.max_degree() <= 2)
+        return CoreContraction(f, f.max_degree() <= 2)
 
     @cached_property
     def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:

@@ -11,8 +11,8 @@ verifiers' all-pairs walk check, one SCC pass over the (vertex, last color)
 states.  With numpy and at most 63 vertices, the rest of the level goes
 through a numpy kernel in blocks of consecutive colorings, one uint64 lane
 per coloring: a bit-parallel fixpoint over the arcs, seeded with the empty
-walk, at one AND and one OR per arc per sweep.  The lowest passing lane is
-taken, so witness and explored count match the one-at-a-time search.
+walk, at one AND and one OR per arc per sweep.  Passing lanes come out in
+lane order, so witnesses and explored counts match the one-at-a-time search.
 Without numpy the whole search runs on the SCC pass.
 
 Before either check, a coloring that strands a leaf is rejected: if x has
@@ -21,9 +21,10 @@ then a walk from x must leave y along a color other than e's and cannot,
 so with n >= 3 some vertex is unreachable from x.  This follows from the
 definition of a walk alone.
 
-_solve yields the walk-passing colorings in order; exact_pw, exact_pp and
-exact_directed take the first their acceptor passes; exact_pw_pp reads
-pW and pP off one stream.  The solver uses no theorem about the answer.
+Each level is one generator, _level, that yields its walk-passing colorings
+in order; _solve chains the levels, exact_pw, exact_pp and exact_directed
+take the first coloring their acceptor passes, and exact_pw_pp reads pW and
+pP off one stream.  The solver uses no theorem about the answer.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, combinations, product
+from itertools import chain, combinations, product
 
 from .graphs import Digraph, EdgeColoring, Graph
 from .verify import (_first_failure, _first_path_failure, verify_all_pairs,
@@ -118,32 +119,32 @@ def canonical_colorings(m: int, max_color: int):
             return
 
 
-def _find_pass(k, nbrs, dead, colors, maxp, skip_current):
-    """Advance through canonical colorings until one passes the all-pairs
-    walk check; returns (found, explored) with the witness left in colors
-    and maxp.  ``nbrs`` is the _neighbor_table of the edges and ``dead``
-    their _dead_ends table.  The first _HEAD candidates go one at a time
-    through verify's SCC pass; the rest of the level goes through
-    _search_blocks.
+def _level(k, pairs, nbrs, dead, before):
+    """Yield ExactResult(k, witness, before + explored) for each canonical
+    coloring of level k that passes the all-pairs walk check, in canonical
+    order, and return the level's count of colorings.  ``nbrs`` is the
+    _neighbor_table of ``pairs`` and ``dead`` its _dead_ends table.  The
+    first _HEAD candidates go one at a time through verify's SCC pass; the
+    rest of the level goes through _search_blocks.
 
     A candidate that strands a leaf fails without the SCC pass, and still
     counts as explored: a walk from x, whose only edge or arc e runs to y,
     enters y along e and must leave y along a color other than e's, so if
     every other edge leaving y has e's color it reaches only x and y, and
-    n >= 3.  The colored adjacency is built once per call; before each SCC
+    n >= 3.  The colored adjacency is built once per level; before each SCC
     pass only the entries of the edges changed since the last one are
     rewritten."""
-    explored = 0
-    if skip_current and not _advance_py(colors, maxp, k):
-        return False, explored
+    m = len(pairs)
+    colors = [1] * m
+    maxp = [1] * m
     adj = [[] for _ in nbrs]
     slots = [[] for _ in colors]    # slots[e]: (row, position, head) of e's entries
     for row, out in zip(nbrs, adj):
         for y, e in row:
             slots[e].append((out, len(out), y))
             out.append((y, colors[e]))
-    m = len(colors)
     stale = m                       # the entries of edges from here on are stale
+    explored = 0
     while True:
         explored += 1
         if not _strands_leaf(dead, colors):
@@ -153,22 +154,23 @@ def _find_pass(k, nbrs, dead, colors, maxp, skip_current):
                     out[j] = (y, c)
             stale = m
             if _first_failure(adj, k) is None:
-                return True, explored
+                yield ExactResult(k, EdgeColoring(k, dict(zip(pairs, colors))),
+                                  before + explored)
         low = _advance_py(colors, maxp, k)
         if not low:
-            return False, explored
+            return explored
         if low < stale:
             stale = low
         if explored == _HEAD and _np is not None and len(nbrs) < 64:
-            found, more = _search_blocks(k, nbrs, dead, colors, maxp)
-            return found, explored + more
+            return explored + (yield from _search_blocks(
+                k, pairs, nbrs, dead, colors, maxp, before + explored))
 
 
 def _dead_ends(nbrs):
     """(e, others) for each vertex x whose only entry in ``nbrs`` is (y, e):
     a leaf, or a vertex of out-degree 1.  ``others`` lists the other edges
     or arcs leaving y.  A coloring that gives all of them e's color fails
-    when n >= 3 (see _find_pass), so the table is empty when n < 3."""
+    when n >= 3 (see _level), so the table is empty when n < 3."""
     if len(nbrs) < 3:
         return []
     return [(e, [f for _, f in nbrs[y] if f != e])
@@ -195,12 +197,11 @@ def _live_lanes(dead, lanes):
     return _np.flatnonzero(live)
 
 
-def _search_blocks(k, nbrs, dead, colors, maxp):
-    """Check the canonical colorings from ``colors`` to the end of the level
-    in numpy blocks.  Returns (found, explored) like _find_pass: the lowest
-    passing lane is the canonically smallest passing coloring, and it is
-    written back to colors and maxp.  Only the lanes that strand no leaf
-    reach the kernel."""
+def _search_blocks(k, pairs, nbrs, dead, colors, maxp, before):
+    """_level from ``colors`` on, in numpy blocks: yield one ExactResult per
+    passing lane, in lane order, and return the count of colorings.
+    ``before`` counts the colorings ahead of ``colors``; only the lanes that
+    strand no leaf reach the kernel."""
     m = len(colors)
     s = 0
     while s < m - 1 and k ** (s + 1) <= _LANES:
@@ -212,14 +213,11 @@ def _search_blocks(k, nbrs, dead, colors, maxp):
     for lanes in _blocks(k, s, colors[:p], maxp[:p], start):
         live = _live_lanes(dead, lanes)
         if len(live):
-            ok = _block_ok(k, nbrs, lanes[live])
-            if ok.any():
-                lane = int(live[ok.argmax()])
-                colors[:] = lanes[lane].tolist()
-                maxp[:] = accumulate(colors, max)
-                return True, explored + lane + 1
+            for lane in live[_block_ok(k, nbrs, lanes[live])].tolist():
+                yield ExactResult(k, EdgeColoring(k, dict(zip(pairs, lanes[lane].tolist()))),
+                                  before + explored + lane + 1)
         explored += len(lanes)
-    return False, explored
+    return explored
 
 
 @lru_cache(maxsize=64)
@@ -345,16 +343,7 @@ def _solve(n, pairs, bidirectional, max_k, budgets):
         limit = _edge_budget(k, budgets)
         if m > limit:
             raise BudgetExceededError(k, m, limit)
-        colors = [1] * m
-        maxp = [1] * m
-        skip = False
-        while True:
-            found, explored = _find_pass(k, nbrs, dead, colors, maxp, skip)
-            total += explored
-            if not found:
-                break
-            yield ExactResult(k, EdgeColoring(k, dict(zip(pairs, colors))), total)
-            skip = True
+        total += yield from _level(k, pairs, nbrs, dead, total)
 
 
 def _first(results, accept) -> ExactResult | None:

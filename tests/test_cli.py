@@ -70,6 +70,17 @@ class TestAnalyze:
         assert "two-bridge rule: holds" in out
         assert "bipartite: no" in out
 
+    def test_bipartite_report(self, run, tmp_path):
+        path = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
+        code, out, _ = run("analyze", path)
+        assert code == 0
+        assert "bipartite: yes; {0,2} / {1,3}\n" in out
+        assert out.endswith("contraction: 1 vertices, a path\n")
+
+    def test_disconnected_exit2(self, run, tmp_path):
+        path = write(tmp_path, "g.txt", "0 1\n2 3\n")
+        assert run("analyze", path) == (2, "", "error: graph is not connected\n")
+
     def test_orient_flag(self, run, tmp_path):
         path = write(tmp_path, "g.txt", "0 1\n1 2\n2 0\n")
         code, out, _ = run("analyze", path, "--orient")
@@ -109,6 +120,37 @@ class TestColor:
         gpath = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
         code, out, _ = run("color", gpath, "--mode", "exact")
         assert code == 0 and "pW <= 2 (exact) via exhaustive search" in out
+
+    @pytest.mark.parametrize("mode, text, summary", [
+        ("bridgeless", "0 1\n1 2\n2 0\n2 3\n3 4\n4 2\n",
+         "pW <= 2 (exact) via bridgeless: two odd cycles"),
+        ("two-odd", "0 1\n1 2\n2 0\n2 3\n3 4\n4 2\n", "pW <= 2 (exact) via two odd cycles"),
+        ("unicyclic", "0 1\n1 2\n2 0\n2 3\n", "pW <= 3 (upper-bound) via unicyclic"),
+        ("cycle-feet", "0 1\n1 2\n2 3\n3 4\n4 0\n0 5\n",
+         "pW <= 2 (exact) via cycle with feet"),
+    ])
+    def test_constructive_modes(self, run, tmp_path, mode, text, summary):
+        gpath = write(tmp_path, "g.txt", text)
+        cpath = str(tmp_path / "c.txt")
+        code, out, _ = run("color", gpath, "--mode", mode, "--out", cpath)
+        assert (code, out) == (0, summary + "\n")
+        code, out, _ = run("verify", gpath, cpath)
+        assert (code, out) == (0, "PASS\n")
+
+    @pytest.mark.parametrize("text, want", [
+        # C3 with two feet on each of two cycle vertices
+        ("0 1\n1 2\n0 2\n0 3\n0 4\n1 5\n1 6\n",
+         "pW = 3 for this member: no consecutive triple captures all feet\n"),
+        ("0 1\n1 2\n2 3\n3 4\n4 0\n", "not an odd cycle with feet: no feet\n"),
+    ])
+    def test_cycle_feet_refusals_exit1(self, run, tmp_path, text, want):
+        gpath = write(tmp_path, "g.txt", text)
+        assert run("color", gpath, "--mode", "cycle-feet") == (1, want, "")
+
+    def test_mode_exact_max_k_exit1(self, run, tmp_path):
+        gpath = write(tmp_path, "p3.txt", "0 1\n1 2\n")
+        code, out, _ = run("color", gpath, "--mode", "exact", "--max-k", "1")
+        assert (code, out) == (1, "no coloring with at most 1 colors\n")
 
     def test_coloring_text_on_stdout(self, run, tmp_path):
         gpath = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import properwalk.construct as construct
 from properwalk import (ConditionViolation, Graph, ThetaSubgraph, TwoOddLayout,
                         bipartition, bridges, classify_cycle_feet,
                         color_bipartite2, color_bridgeless2, color_cycle_feet2,
@@ -230,6 +231,23 @@ class TestReduceTheta:
         t = reduce_theta(g)
         assert isinstance(t, ThetaSubgraph)
         assert set(t.inverter) == {8, 9}
+
+    def test_one_descent_step(self, monkeypatch):
+        # C5 0-1-2-3-4 with ears 0-5-2 and 4-6-7-8-3: the first theta has
+        # outer cycle 0-5-2-1 and inverter 0-4-3-2, and the stray odd cycle
+        # 3-4-6-7-8 shares the inverter edge (3, 4), so the reduction
+        # descends once, to the single inverter edge (4, 3)
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 5),
+                      (4, 6), (6, 7), (7, 8), (3, 8)])
+        steps = []
+        descend = construct._descend
+        monkeypatch.setattr(construct, "_descend",
+                            lambda *args: steps.append(args[1:]) or descend(*args))
+        assert reduce_theta(g) == ThetaSubgraph((4, 6, 7, 8, 3, 2, 1, 0), (4, 3))
+        assert steps == [(ThetaSubgraph((0, 5, 2, 1), (0, 4, 3, 2)), (3, 4, 6, 7, 8))]
+        res = pw_auto(g)
+        assert (res.k, res.status) == (2, "exact")
+        assert verify_all_pairs(g, res.coloring)[0]
 
     def test_escape_to_two_odd_layout(self):
         # a pentagon living entirely off the outer cycle shares no edge with

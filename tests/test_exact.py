@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import accumulate, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -314,26 +314,41 @@ class TestBlockKernel:
             self.assert_lanes_match(d.n, d.arcs, False, ks=(4,))
 
     def test_blocks_follow_canonical_order(self, monkeypatch):
-        # a kernel that passes one chosen coloring: the search must stop on
-        # it with the count of one-at-a-time enumeration, from any start,
-        # across block boundaries (16 lanes) and prefix boundaries
+        # fake checks that pass chosen colorings, several per 16-lane block,
+        # across block and prefix boundaries and on both sides of _HEAD: the
+        # level must yield exactly those, in order, at their positions, with
+        # the numpy blocks and without them
         monkeypatch.setattr(exact, "_LANES", 16)
-        monkeypatch.setattr(exact, "_first_failure", lambda *args: (0, 1))
-        for m, k in ((7, 2), (9, 2), (6, 3), (7, 3), (6, 4)):
-            seqs = list(canonical_colorings(m, k))
-            for target in range(exact._HEAD, len(seqs), 7):
-                monkeypatch.setattr(exact, "_block_ok", lambda k, nbrs, lanes, t=seqs[target]:
-                                    (lanes == t).all(axis=1))
-                # a resumed search starts after seqs[start]; every search
-                # checks its first _HEAD candidates in Python
-                last = target - exact._HEAD - 1
-                for start in {0} | {s for s in (1, last // 2, last) if 0 < s <= last}:
-                    colors = list(seqs[start])
-                    maxp = list(accumulate(colors, max))
-                    found, explored = exact._find_pass(k, [[], []], [], colors, maxp, start > 0)
-                    assert (found, explored) == (True, target - start + (start == 0))
-                    assert tuple(colors) == seqs[target]
-                    assert maxp == list(accumulate(colors, max))
+        for numpy in (np, None):
+            monkeypatch.setattr(exact, "_np", numpy)
+            blocks = []
+            for m, k in ((8, 2), (9, 2), (6, 3), (7, 3), (6, 4)):
+                seqs = list(canonical_colorings(m, k))
+                chosen = sorted({p for p in range(len(seqs)) if p % 5 == 0 or p % 7 == 3}
+                                | {exact._HEAD - 1, exact._HEAD, len(seqs) - 1})
+                passing = {seqs[p] for p in chosen}
+                # vertex 0 carries every edge, so its colored row spells the coloring
+                nbrs = [[(1, e) for e in range(m)], []]
+                pairs = [(0, e + 1) for e in range(m)]
+                monkeypatch.setattr(exact, "_first_failure", lambda adj, k:
+                                    None if tuple(c for _, c in adj[0]) in passing else (0, 1))
+                monkeypatch.setattr(exact, "_block_ok", lambda k, nbrs, lanes: blocks.append(1)
+                                    or np.array([tuple(row) in passing for row in lanes.tolist()]))
+                stream, count = drain(exact._level(k, pairs, nbrs, [], 100))
+                assert count == len(seqs)
+                assert [(r.k, r.explored, tuple(c for _, c in sorted(r.witness.assignment.items())))
+                        for r in stream] == [(k, 100 + p + 1, seqs[p]) for p in chosen]
+            assert bool(blocks) == (numpy is not None)
+
+
+def drain(gen):
+    """The items a generator yields and the value it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(gen))
+        except StopIteration as stop:
+            return items, stop.value
 
 
 class TestDeadEnds:
@@ -414,10 +429,9 @@ class TestBlockSearchMatchesPython:
 
             def level2(g=g):
                 nbrs = exact._neighbor_table(g.n, g.edges, True)
-                return exact._find_pass(2, nbrs, exact._dead_ends(nbrs),
-                                        [1] * g.m, [1] * g.m, False)
+                return drain(exact._level(2, g.edges, nbrs, exact._dead_ends(nbrs), 0))
             batched, reference = both(level2)
-            assert batched == reference == (False, 2 ** (g.m - 1))
+            assert batched == reference == ([], 2 ** (g.m - 1))
         batched, reference = both(lambda: exact_pw(CWF_REFUTED[0], max_k=3))
         assert batched.k == 3 and fingerprint(batched) == fingerprint(reference)
 

@@ -66,8 +66,10 @@ def cases():
 
 # Graphs no other case reaches: bridgeless graphs of several blocks (a
 # triangle or a K4 minus an edge beside even blocks, whose lowest vertex lies
-# at even or odd BFS depth), bipartite chains of cores joined by bridges, and
-# the two theta blocks whose inverter traps a region off the outer cycle.
+# at even or odd BFS depth), bipartite chains of cores joined by bridges, the
+# two theta blocks whose inverter traps a region off the outer cycle, and a
+# theta block whose first inverter meets a stray odd cycle, so the reduction
+# descends once.
 _TRAPPED = list(theta(4, 4, 5).edges)   # outer 8-cycle, inverter 0-8-9-10-11-4
 EXTRA = [
     ("triangle and C4 at vertex 2",
@@ -94,6 +96,9 @@ EXTRA = [
     ("trapped region", Graph(14, _TRAPPED + [(8, 12), (12, 10), (9, 13), (13, 11)])),
     ("trapped region two deep",
      Graph(14, _TRAPPED + [(8, 12), (12, 10), (12, 13), (13, 9)])),
+    ("C5 with ears 0-5-2 and 4-6-7-8-3: one theta descent",
+     Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 5),
+               (4, 6), (6, 7), (7, 8), (3, 8)])),
 ]
 
 

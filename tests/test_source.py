@@ -1,6 +1,8 @@
 """Rules about the package source itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import properwalk
@@ -16,3 +18,26 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_bench_span_targets_resolve():
+    """Every (span, module, attribute) of bench/spans.py's TARGETS names a
+    function the tracer can wrap: a module attribute, or a method found in
+    its class's own namespace.  The list is read from the source, so the
+    bench package is neither imported nor run."""
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    assert targets
+    for name, modname, attr in targets:
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            func = vars(getattr(owner, cls_name)).get(meth)
+        else:
+            func = getattr(owner, attr, None)
+        assert callable(func), (name, modname, attr)
+        if name.startswith("exact."):       # the tracer reads max_k off each call
+            assert "max_k" in inspect.signature(func).parameters, name
