@@ -11,6 +11,9 @@ The searches come from ``decompose``: ``_layers`` is the one BFS layering and
 ``_bfs_forest`` the one forest BFS.  ``_hang_trees`` colors every pendant
 forest, which ``_bfs_forest`` grows off a colored core.  ``_head_colored``
 colors every oriented bipartite part by its arc heads' ``_layers`` classes.
+``graphs._steps`` is the one split of a vertex sequence into its edges, and
+``_alternate`` the one alternation rule: every cycle and path a construction
+colors alternates, and a construction then recolors at most its break edges.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .graphs import (ColoringResult, EdgeColoring, Graph, canonical_edge,
-                     emit_graph)
-from .decompose import (Decomposition, _bfs_forest, _cycle_edges,
-                        _disjoint_odd_cycles, _layers, cycle_connector,
-                        decomposition, rotate_cycle, shortest_odd_cycle,
-                        two_disjoint_paths)
+from .graphs import (ColoringResult, EdgeColoring, Graph, _steps,
+                     canonical_edge, emit_graph)
+from .decompose import (Decomposition, _bfs_forest, _connect, _cycle_edges,
+                        _disjoint_odd_cycles, _layers, decomposition,
+                        rotate_cycle, shortest_odd_cycle, two_disjoint_paths)
 from .orient import path_anchored_orientation, robbins_orientation
 from .verify import verify_all_pairs
 from . import exact as _exact
@@ -54,9 +56,11 @@ def _hang_trees(g: Graph, assignment: dict, hub, hub_color: dict, skip=frozenset
     return parent
 
 
-def _cycle_edge_list(cyc):
-    n = len(cyc)
-    return [(cyc[i], cyc[(i + 1) % n]) for i in range(n)]
+def _alternate(assignment: dict, vs, phase: int = 0, closed: bool = False) -> None:
+    """The one alternation rule: color step i of ``_steps(vs, closed)``
+    1 + (i + phase) % 2."""
+    for i, (x, y) in enumerate(_steps(vs, closed)):
+        assignment[canonical_edge(x, y)] = 1 + (i + phase) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +122,12 @@ def color_unicyclic3(g: Graph) -> ColoringResult:
     if g.m == g.n - 1:
         raise ValueError("graph is acyclic; use the tree construction")
     cyc = _cycle_through_first_chord(g)
-    length = len(cyc)
     assignment = {}
-    at_vertex: dict[int, set[int]] = {v: set() for v in cyc}
-    for i, (x, y) in enumerate(_cycle_edge_list(cyc)):
-        if length % 2 == 1 and i == length - 1:
-            col = 3
-        else:
-            col = 1 + (i % 2)
-        assignment[canonical_edge(x, y)] = col
-        at_vertex[x].add(col)
-        at_vertex[y].add(col)
-    hub_color = {v: min({1, 2, 3} - cols) for v, cols in at_vertex.items()}
+    _alternate(assignment, cyc, closed=True)
+    if len(cyc) % 2:
+        assignment[canonical_edge(cyc[-1], cyc[0])] = 3
+    cols = [assignment[canonical_edge(x, y)] for x, y in _steps(cyc, closed=True)]
+    hub_color = {v: min({1, 2, 3} - {cols[i - 1], cols[i]}) for i, v in enumerate(cyc)}
     _hang_trees(g, assignment, cyc, hub_color)
     for e in g.edges:
         assignment.setdefault(e, 1)
@@ -237,9 +235,8 @@ def _check_layout(g: Graph, layout: TwoOddLayout) -> None:
             raise ValueError(f"cycle edge {e} missing from graph")
     if ca[0] != conn[0] or cb[0] != conn[-1]:
         raise ValueError("connector must run from cycle_a[0] to cycle_b[0]")
-    for i in range(len(conn) - 1):
-        if not g.has_edge(conn[i], conn[i + 1]):
-            raise ValueError("connector is not a path in the graph")
+    if not all(g.has_edge(*e) for e in _steps(conn)):
+        raise ValueError("connector is not a path in the graph")
     interior = set(conn[1:-1])
     if interior & (set(ca) | set(cb)):
         raise ValueError("connector passes through a cycle")
@@ -262,14 +259,9 @@ def color_two_odd_cycles2(g: Graph, layout: TwoOddLayout) -> ColoringResult:
     _check_layout(g, layout)
     ca, cb, conn = layout.cycle_a, layout.cycle_b, layout.connector
     assignment = {}
-    for i, (x, y) in enumerate(_cycle_edge_list(ca)):
-        assignment[canonical_edge(x, y)] = 1 if i % 2 == 0 else 2
-    plen = len(conn) - 1
-    for j in range(plen):
-        assignment[canonical_edge(conn[j], conn[j + 1])] = 2 if j % 2 == 0 else 1
-    base = 1 if plen % 2 == 1 else 2
-    for i, (x, y) in enumerate(_cycle_edge_list(cb)):
-        assignment[canonical_edge(x, y)] = base if i % 2 == 0 else 3 - base
+    _alternate(assignment, ca, closed=True)
+    _alternate(assignment, conn, phase=1)
+    _alternate(assignment, cb, phase=len(conn) % 2, closed=True)
 
     hub = sorted(set(ca) | set(cb) | set(conn))
     seen_colors = {v: set() for v in hub}
@@ -288,8 +280,7 @@ def color_two_odd_cycles2(g: Graph, layout: TwoOddLayout) -> ColoringResult:
 def layout_from_cycles(g: Graph, c1, c2) -> TwoOddLayout:
     """Build a layout from two edge-disjoint odd cycles, connecting them by
     their lowest shared vertex or a shortest path."""
-    conn = cycle_connector(g, c1, c2)
-    return TwoOddLayout(rotate_cycle(c1, conn[0]), rotate_cycle(c2, conn[-1]), conn)
+    return TwoOddLayout(*_connect(g, c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +296,12 @@ def color_spanning_odd_cycle2(g: Graph, cyc) -> ColoringResult:
         raise ValueError("cycle must span every vertex exactly once")
     if len(cyc) % 2 == 0 or len(cyc) < 5:
         raise ValueError("need an odd spanning cycle of length at least 5")
-    assignment = {}
-    length = len(cyc)
-    for i, (x, y) in enumerate(_cycle_edge_list(cyc)):
+    for x, y in _steps(cyc, closed=True):
         if not g.has_edge(x, y):
             raise ValueError(f"cycle edge ({x}, {y}) missing from graph")
-        col = 1 + (i % 2) if i < length - 1 else 1 + ((length - 2) % 2)
-        assignment[canonical_edge(x, y)] = col
+    assignment = {}
+    _alternate(assignment, cyc, closed=True)
+    assignment[canonical_edge(cyc[-1], cyc[0])] = 2
     for e in g.edges:
         assignment.setdefault(e, 1)
     return _finalize(g, assignment, 2, "exact", "spanning odd cycle")
@@ -361,12 +351,10 @@ def _check_theta(g: Graph, t: ThetaSubgraph) -> None:
         fail(f"outer cycle repeats a vertex: {cyc}")
     if len(set(inv)) != len(inv) or len(inv) < 2:
         fail(f"inverter repeats a vertex or has fewer than 2: {inv}")
-    for x, y in _cycle_edge_list(cyc):
-        if not g.has_edge(x, y):
-            fail(f"outer cycle edge ({x}, {y}) missing")
-    for i in range(len(inv) - 1):
-        if not g.has_edge(inv[i], inv[i + 1]):
-            fail(f"inverter edge ({inv[i]}, {inv[i + 1]}) missing")
+    for what, steps in (("outer cycle", _steps(cyc, closed=True)), ("inverter", _steps(inv))):
+        for x, y in steps:
+            if not g.has_edge(x, y):
+                fail(f"{what} edge ({x}, {y}) missing")
     if t.u not in cyc or t.v not in cyc:
         fail(f"inverter ends {t.u} and {t.v} are not both on the outer cycle")
     if set(inv[1:-1]) & set(cyc):
@@ -424,8 +412,7 @@ def _reduce_theta(g: Graph, soc: tuple[int, ...]):
             return theta
 
         p = theta.inverter
-        p_edges = {canonical_edge(p[i], p[i + 1]) for i in range(len(p) - 1)}
-        if not (_cycle_edges(odd) & p_edges):
+        if not (_cycle_edges(odd) & _cycle_edges(p, closed=False)):
             # Escape: the inverter plus either outer arc is an odd cycle
             # edge-disjoint from the stray odd cycle.
             arc = min(_cycle_arcs(theta.cycle, theta.u, theta.v))
@@ -442,16 +429,14 @@ def _descend(g: Graph, theta: ThetaSubgraph, odd) -> ThetaSubgraph:
     the stray odd cycle so the new inverter is strictly shorter."""
     p = theta.inverter
     pos = {x: i for i, x in enumerate(p)}
-    p_edges = {canonical_edge(p[i], p[i + 1]) for i in range(len(p) - 1)}
+    p_edges = _cycle_edges(p, closed=False)
     length = len(odd)
     contacts = [i for i, x in enumerate(odd) if x in pos]
     if len(contacts) < 2:
         raise AssertionError("stray cycle shares an edge but not two inverter vertices")
 
     chosen = None
-    for idx in range(len(contacts)):
-        i = contacts[idx]
-        j = contacts[(idx + 1) % len(contacts)]
+    for i, j in _steps(contacts, closed=True):
         seg = [odd[(i + t) % length] for t in range(((j - i) % length) + 1)]
         if len(seg) == 2 and canonical_edge(seg[0], seg[1]) in p_edges:
             continue
@@ -486,14 +471,9 @@ def _assemble_theta_coloring(g: Graph, theta: ThetaSubgraph,
     the outer cycle counts as forward, which alternation the cycle takes, and
     which global swap the inverter-side coloring takes."""
     cyc = theta.cycle if dirflag == 0 else tuple(reversed(theta.cycle))
-    length = len(cyc)
     assignment = {}
-    forward_color = {}
-    for i in range(length):
-        x, y = cyc[i], cyc[(i + 1) % length]
-        col = 1 + ((i + cphase) % 2)
-        assignment[canonical_edge(x, y)] = col
-        forward_color[x] = col
+    _alternate(assignment, cyc, phase=cphase, closed=True)
+    forward_color = {x: assignment[canonical_edge(x, y)] for x, y in _steps(cyc, closed=True)}
 
     interior = set(theta.interior)
     parent = _hang_trees(g, assignment, cyc, forward_color, interior)
@@ -501,16 +481,10 @@ def _assemble_theta_coloring(g: Graph, theta: ThetaSubgraph,
     outside = set(range(g.n)) - set(cyc) - interior
     inner_b = outside - set(parent)           # cannot reach the cycle off the interior
     p = theta.inverter
-    ell = len(p) - 1
-    if ell == 1:
-        if inner_b:
-            raise AssertionError("a one-edge inverter leaves no vertex off the outer cycle")
-        assignment[canonical_edge(p[0], p[1])] = 1 + hphase
-    elif not inner_b:
-        for j in range(ell):
-            assignment[canonical_edge(p[j], p[j + 1])] = 1 + ((j + hphase) % 2)
+    if not inner_b:
+        _alternate(assignment, p, phase=hphase)
     else:
-        if ell < 3:
+        if len(p) < 4:
             raise AssertionError("inner vertices need at least two interior contact points")
         hverts = sorted(interior | inner_b)
         sub, old = g.induced(hverts)
@@ -657,6 +631,8 @@ def classify_cycle_feet(g: Graph) -> CycleFeetShape:
     for v in core:
         if sum(1 for x in g.neighbors(v) if x in core_set) != 2:
             return CycleFeetShape(False, reason="core is not an odd cycle")
+    # Deleting the leaves of a connected graph leaves it connected, so the
+    # core, 2-regular by the check above, is a single cycle.
     start = min(core)
     cyc = [start]
     prev = -1
@@ -666,10 +642,6 @@ def classify_cycle_feet(g: Graph) -> CycleFeetShape:
         if nxt == start:
             break
         cyc.append(nxt)
-        if len(cyc) > len(core):
-            return CycleFeetShape(False, reason="core is not a single cycle")
-    if len(cyc) != len(core):
-        return CycleFeetShape(False, reason="core is not a single cycle")
     cyc = tuple(cyc)
     feet = tuple(sum(1 for x in g.neighbors(v) if g.degree(x) == 1) for v in cyc)
 
@@ -696,11 +668,8 @@ def color_cycle_feet2(g: Graph, shape: CycleFeetShape) -> ColoringResult:
         rc = rotate_cycle(tuple(reversed(shape.cycle)), v)
     if rc[1] != w or rc[-1] != u:
         raise ValueError(f"witness {shape.witness} is not a path u-v-w on the cycle")
-    length = len(rc)
     assignment = {}
-    for i, (x, y) in enumerate(_cycle_edge_list(rc)):
-        col = 1 + (i % 2) if i < length - 1 else 1
-        assignment[canonical_edge(x, y)] = col
+    _alternate(assignment, rc, closed=True)
     for foot in range(g.n):
         if g.degree(foot) != 1:
             continue

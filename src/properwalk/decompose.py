@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
-from .graphs import Graph, canonical_edge
+from .graphs import Graph, _steps, canonical_edge
 
 
 def _bridges_of(blks) -> frozenset[tuple[int, int]]:
@@ -191,7 +191,7 @@ def _shortest_odd_cycle(g: Graph, ends) -> tuple[int, ...] | None:
     walk.reverse()              # s .. s, odd number of edges
     cyc = tuple(walk[:-1])
     if (len(cyc) != girth or len(set(cyc)) != len(cyc)
-            or not all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))):
+            or not all(g.has_edge(*e) for e in _steps(cyc, closed=True))):
         raise AssertionError(f"shortest odd closed walk {cyc} is not an odd cycle")
     return cyc
 
@@ -347,8 +347,9 @@ def two_disjoint_paths(g: Graph, w: int, targets) -> tuple[tuple[int, ...], tupl
 # Two edge-disjoint odd cycles (semi-decision)
 # ---------------------------------------------------------------------------
 
-def _cycle_edges(cyc) -> set[tuple[int, int]]:
-    return {canonical_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
+def _cycle_edges(vs, closed=True) -> set[tuple[int, int]]:
+    """The canonical edges of the cycle vs (of the path vs unless ``closed``)."""
+    return {canonical_edge(x, y) for x, y in _steps(vs, closed)}
 
 
 def cycle_connector(g: Graph, c1, c2) -> tuple[int, ...]:
@@ -366,6 +367,13 @@ def cycle_connector(g: Graph, c1, c2) -> tuple[int, ...]:
     while path[-1] in parent:
         path.append(parent[path[-1]])
     return tuple(reversed(path))
+
+
+def _connect(g: Graph, c1, c2):
+    """(c1, c2, their ``cycle_connector``), each cycle rotated to start at
+    its end of the connector."""
+    conn = cycle_connector(g, c1, c2)
+    return rotate_cycle(c1, conn[0]), rotate_cycle(c2, conn[-1]), conn
 
 
 def disjoint_odd_cycles(g: Graph):
@@ -393,8 +401,7 @@ def _disjoint_odd_cycles(g: Graph, dec: Decomposition):
         c2 = shortest_odd_cycle(Graph(g.n, [e for e in g.edges if e not in used]))
         if c2 is None:
             return None
-    conn = cycle_connector(g, c1, c2)
-    return rotate_cycle(c1, conn[0]), rotate_cycle(c2, conn[-1]), conn
+    return _connect(g, c1, c2)
 
 
 def rotate_cycle(cyc, v):

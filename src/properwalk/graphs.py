@@ -49,6 +49,13 @@ def _reached(neighbors, src: int) -> set[int]:
     return seen
 
 
+def _steps(vs, closed=False) -> list[tuple[int, int]]:
+    """The one edge split: the consecutive pairs of the vertex sequence vs,
+    and with ``closed`` also (last, first), which closes it into a cycle."""
+    vs = tuple(vs)
+    return list(zip(vs, vs[1:] + vs[:1] if closed else vs[1:]))
+
+
 class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1."""
 
@@ -196,8 +203,7 @@ class Walk:
         return len(self.vertices) - 1
 
     def edge_sequence(self) -> list[tuple[int, int]]:
-        vs = self.vertices
-        return [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
+        return _steps(self.vertices)
 
     def is_properly_colored(self, coloring: "EdgeColoring") -> bool:
         cs = [coloring.color(u, v) for u, v in self.edge_sequence()]
@@ -410,13 +416,13 @@ def emit_graph(g, coloring: EdgeColoring | None = None, fmt: str = "edgelist") -
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, _steps(range(n)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, _steps(range(n), closed=True))
 
 
 def complete(n: int) -> Graph:
@@ -448,17 +454,10 @@ def theta(a: int, b: int, p: int) -> Graph:
     if a == 1 and b == 1:
         raise ValueError("a = b = 1 would create parallel edges")
     u, v = 0, a
-    edges = []
-    # arc of length a: u .. v through 1..a-1
-    run = [u] + list(range(1, a)) + [v]
-    edges += list(zip(run, run[1:]))
-    # arc of length b: v .. u through a+1..a+b-1
-    run = [v] + list(range(a + 1, a + b)) + [u]
-    edges += list(zip(run, run[1:]))
-    # inverter of length p: u .. v through a+b..a+b+p-2
-    run = [u] + list(range(a + b, a + b + p - 1)) + [v]
-    edges += list(zip(run, run[1:]))
-    return Graph(a + b + p - 1, edges)
+    runs = ([u, *range(1, a), v],                   # arc of length a through 1..a-1
+            [v, *range(a + 1, a + b), u],           # arc of length b through a+1..a+b-1
+            [u, *range(a + b, a + b + p - 1), v])   # inverter through a+b..a+b+p-2
+    return Graph(a + b + p - 1, [e for run in runs for e in _steps(run)])
 
 
 def cycle_with_feet(n: int, feet) -> Graph:
@@ -469,7 +468,7 @@ def cycle_with_feet(n: int, feet) -> Graph:
         raise ValueError("cycle length must be odd and at least 3")
     if len(feet) != n or any((not isinstance(f, int)) or f < 0 for f in feet):
         raise ValueError("feet must be n nonnegative counts")
-    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges = _steps(range(n), closed=True)
     nxt = n
     for i, f in enumerate(feet):
         for _ in range(f):
@@ -490,7 +489,7 @@ def bowtie_digraph() -> Digraph:
 def directed_cycle(n: int) -> Digraph:
     if n < 2:
         raise ValueError("directed cycle needs at least 2 vertices")
-    return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Digraph(n, _steps(range(n), closed=True))
 
 
 def random_connected(n: int, p: float, seed=None, max_tries: int = 100000) -> Graph:

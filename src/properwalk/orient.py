@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Digraph, Graph, _reached
+from .graphs import Digraph, Graph, _reached, _steps
 from .decompose import two_disjoint_paths
 
 
@@ -76,13 +76,13 @@ def path_anchored_orientation(h: Graph, p) -> PathAnchoredOrientation:
     p = tuple(p)
     if len(set(p)) != len(p):
         raise ValueError("anchor path repeats a vertex")
-    for i in range(len(p) - 1):
-        if not h.has_edge(p[i], p[i + 1]):
-            raise ValueError(f"anchor path edge ({p[i]}, {p[i + 1]}) missing from graph")
+    arcs = _steps(p)
+    for x, y in arcs:
+        if not h.has_edge(x, y):
+            raise ValueError(f"anchor path edge ({x}, {y}) missing from graph")
     pos = {v: i for i, v in enumerate(p)}
 
     in_sub = set(p)
-    arcs = [(p[i], p[i + 1]) for i in range(len(p) - 1)]
     anchors: dict[int, tuple[int, int]] = {}
 
     def anchor_of(x: int) -> tuple[int, int]:
@@ -111,10 +111,7 @@ def path_anchored_orientation(h: Graph, p) -> PathAnchoredOrientation:
                 f"no contact ordering with a strictly nearer q-anchor at vertex {w}; "
                 f"contacts {ta[-1]}/{tb[-1]} anchored {qa, ra}/{qb, rb}")
         # "toward" carries flow from its contact down to w, "away" from w out.
-        for i in range(len(toward) - 1, 0, -1):
-            arcs.append((toward[i], toward[i - 1]))
-        for i in range(len(away) - 1):
-            arcs.append((away[i], away[i + 1]))
+        arcs += _steps(toward[::-1]) + _steps(away)
         for x in set(toward) | set(away):
             if x not in in_sub:
                 in_sub.add(x)

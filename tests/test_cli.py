@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -86,6 +87,14 @@ class TestAnalyze:
         code, out, _ = run("analyze", path, "--orient")
         assert code == 0 and "orientation {0,1,2}:" in out
 
+    def test_orient_skips_trivial_cores(self, run, tmp_path):
+        path = write(tmp_path, "g.txt", "0 1\n1 2\n2 0\n2 3\n")
+        code, out, _ = run("analyze", path, "--orient")
+        assert code == 0
+        assert "core {3} trivial incident-bridges 1\n" in out
+        assert out.endswith("contraction: 2 vertices, a path\n"
+                            "orientation {0,1,2}: 0->1 1->2 2->0\n")
+
     def test_unreadable(self, run, tmp_path):
         code, _, err = run("analyze", str(tmp_path / "missing.txt"))
         assert code == 2 and "error:" in err
@@ -151,6 +160,11 @@ class TestColor:
         gpath = write(tmp_path, "p3.txt", "0 1\n1 2\n")
         code, out, _ = run("color", gpath, "--mode", "exact", "--max-k", "1")
         assert (code, out) == (1, "no coloring with at most 1 colors\n")
+
+    def test_graph_from_stdin(self, run, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0 1\n1 2\n2 3\n3 0\n"))
+        assert run("color", "-") == (
+            0, "pW <= 2 (exact) via bipartite\nk 2\n0 1 2\n0 3 1\n1 2 1\n2 3 2\n", "")
 
     def test_coloring_text_on_stdout(self, run, tmp_path):
         gpath = write(tmp_path, "c4.txt", "0 1\n1 2\n2 3\n3 0\n")
@@ -321,6 +335,14 @@ class TestExperiment:
         assert len(lines) == 102
         assert all(line.endswith(" true") for line in lines[1:-1])
         assert "exact-mismatch=0" in lines[-1]
+
+    def test_without_exact(self, run):
+        assert run("experiment", "--n", "6", "--p", "0.5", "--trials", "3",
+                   "--seed", "2") == (0, "trial n m k status\n"
+                                         "0 6 9 2 exact\n"
+                                         "1 6 6 2 exact\n"
+                                         "2 6 7 2 exact\n"
+                                         "summary: trials=3 k[2:3] status[exact=3]\n", "")
 
     def test_zero_trials(self, run):
         code, out, _ = run("experiment", "--n", "5", "--p", "0.5",

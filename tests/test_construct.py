@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import properwalk.construct as construct
-from properwalk import (ConditionViolation, Graph, ThetaSubgraph, TwoOddLayout,
+from properwalk import (ConditionViolation, CycleFeetShape, Graph,
+                        ThetaSubgraph, TwoOddLayout,
                         bipartition, bridges, classify_cycle_feet,
                         color_bipartite2, color_bridgeless2, color_cycle_feet2,
                         color_spanning_odd_cycle2, color_theta_block2,
@@ -185,6 +186,23 @@ class TestColorTwoOddCycles2:
         with pytest.raises(ValueError, match="complete"):
             color_two_odd_cycles2(g, TwoOddLayout(*found))
 
+    # triangles 0-1-2 and 4-5-6 joined by the path 2-3-4
+    LAYOUT_GRAPH = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+
+    @pytest.mark.parametrize("layout, why", [
+        (((0, 1, 2, 3), (4, 5, 6), (2, 3, 4)), "cycles must be odd"),
+        (((2, 0, 1), (0, 1, 2), (2,)), "cycles share an edge"),
+        (((2, 0, 1), (4, 5, 3), (2, 3, 4)), "cycle edge (3, 5) missing from graph"),
+        (((0, 1, 2), (4, 5, 6), (2, 3, 4)), "connector must run from cycle_a[0] to cycle_b[0]"),
+        (((2, 0, 1), (4, 5, 6), (2, 4)), "connector is not a path in the graph"),
+        (((1, 2, 0), (4, 5, 6), (1, 2, 3, 4)), "connector passes through a cycle")])
+    def test_bad_layout_rejected(self, layout, why):
+        g = self.LAYOUT_GRAPH
+        assert color_two_odd_cycles2(g, TwoOddLayout((2, 0, 1), (4, 5, 6), (2, 3, 4))).k == 2
+        with pytest.raises(ValueError) as exc:
+            color_two_odd_cycles2(g, TwoOddLayout(*layout))
+        assert str(exc.value) == why
+
 
 class TestSpanningOddCycle:
     def test_c5_break_pattern(self):
@@ -201,8 +219,25 @@ class TestSpanningOddCycle:
         with pytest.raises(ValueError):
             color_spanning_odd_cycle2(cycle(3), (0, 1, 2))
 
+    @pytest.mark.parametrize("cyc, why", [
+        ((0, 1, 2, 3), "cycle must span every vertex exactly once"),
+        ((0, 1, 2, 3, 3), "cycle must span every vertex exactly once"),
+        ((0, 2, 1, 3, 4), "cycle edge (0, 2) missing from graph")])
+    def test_bad_cycle_rejected(self, cyc, why):
+        with pytest.raises(ValueError) as exc:
+            color_spanning_odd_cycle2(cycle(5), cyc)
+        assert str(exc.value) == why
+
 
 class TestReduceTheta:
+    @pytest.mark.parametrize("g, why", [
+        (cycle(6), "graph is bipartite"),
+        (cycle(5), "shortest odd cycle is spanning; no theta reduction needed")])
+    def test_preconditions(self, g, why):
+        with pytest.raises(ValueError) as exc:
+            reduce_theta(g)
+        assert str(exc.value) == why
+
     def test_theta_fixed_point(self):
         g = theta(2, 2, 1)
         t = reduce_theta(g)
@@ -431,6 +466,35 @@ class TestCycleFeet:
         g = cycle_with_feet(3, [2, 2, 0])
         with pytest.raises(ValueError):
             color_cycle_feet2(g, classify_cycle_feet(g))
+
+    def test_too_small_or_disconnected(self):
+        two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        for g in (cycle(3), path_graph(3), two_triangles):
+            assert classify_cycle_feet(g) == CycleFeetShape(
+                False, reason="too small or disconnected")
+
+    def test_reversed_witness(self):
+        # a witness (w, v, u) runs against the cycle's order; the coloring
+        # is the one the classified witness (u, v, w) gives
+        g = cycle_with_feet(5, [1, 1, 0, 0, 0])
+        shape = classify_cycle_feet(g)
+        assert shape.witness == (4, 0, 1)
+        res = color_cycle_feet2(g, CycleFeetShape(True, shape.cycle, shape.feet, (1, 0, 4)))
+        assert (res.k, res.status) == (2, "exact")
+        assert verify_all_pairs(g, res.coloring)[0]
+        assert res.coloring == color_cycle_feet2(g, shape).coloring
+        assert sorted(res.coloring.assignment.items()) == [
+            ((0, 1), 1), ((0, 4), 1), ((0, 5), 2), ((1, 2), 2), ((1, 6), 1),
+            ((2, 3), 1), ((3, 4), 2)]
+
+    @pytest.mark.parametrize("feet, witness, why", [
+        ((1, 1, 0, 0, 0), (0, 2, 4), "witness (0, 2, 4) is not a path u-v-w on the cycle"),
+        ((1, 1, 1, 0, 0), (4, 0, 1), "foot 7 hangs off 2, outside the witness triple")])
+    def test_bad_witness_rejected(self, feet, witness, why):
+        g = cycle_with_feet(5, list(feet))
+        with pytest.raises(ValueError) as exc:
+            color_cycle_feet2(g, CycleFeetShape(True, (0, 1, 2, 3, 4), feet, witness))
+        assert str(exc.value) == why
 
 
 class TestPwAuto:

@@ -12,7 +12,11 @@ they share return:
 ``color_two_odd_cycles2`` on the layouts ``disjoint_odd_cycles`` finds,
 ``color_theta_block2`` on the 2-connected, nonbipartite, noncomplete graphs,
 ``color_bipartite2`` (a coloring or a violation) on the bipartite graphs with
-n >= 3, and ``color_bridgeless2`` on the bridgeless graphs with n >= 2.
+n >= 3, ``color_bridgeless2`` on the bridgeless graphs with n >= 2,
+``classify_cycle_feet`` (every field) on every graph, ``color_cycle_feet2``
+on the members it colors with two, ``color_spanning_odd_cycle2`` where the
+shortest odd cycle spans, and ``reduce_theta`` on the 2-connected,
+nonbipartite, noncomplete graphs whose shortest odd cycle does not span.
 
 A refactor of the decompositions or the constructions must leave every line
 of both files unchanged.  Regenerate them only for an intended change of
@@ -24,12 +28,15 @@ output, and say why in CHANGES.md:
 import json
 from pathlib import Path
 
-from properwalk import (ColoringResult, Graph, TwoOddLayout, bipartition,
-                        blocks, bridges, color_bipartite2, color_bridgeless2,
-                        color_theta_block2, color_tree, color_two_odd_cycles2,
-                        color_unicyclic3, connected_graphs, cycle_connector,
+from properwalk import (ColoringResult, Graph, ThetaSubgraph, TwoOddLayout,
+                        bipartition, blocks, bridges, classify_cycle_feet,
+                        color_bipartite2, color_bridgeless2, color_cycle_feet2,
+                        color_spanning_odd_cycle2, color_theta_block2,
+                        color_tree, color_two_odd_cycles2, color_unicyclic3,
+                        connected_graphs, cycle_connector, cycle_with_feet,
                         disjoint_odd_cycles, generate, pw_auto,
-                        random_connected, shortest_odd_cycle, theta)
+                        random_connected, reduce_theta, shortest_odd_cycle,
+                        theta)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "pw_auto_golden.json"
@@ -69,7 +76,8 @@ def cases():
 # at even or odd BFS depth), bipartite chains of cores joined by bridges, the
 # two theta blocks whose inverter traps a region off the outer cycle, and a
 # theta block whose first inverter meets a stray odd cycle, so the reduction
-# descends once.
+# descends once, and odd cycles with feet whose witness triple wraps past
+# cycle index 0 on either side.
 _TRAPPED = list(theta(4, 4, 5).edges)   # outer 8-cycle, inverter 0-8-9-10-11-4
 EXTRA = [
     ("triangle and C4 at vertex 2",
@@ -99,6 +107,11 @@ EXTRA = [
     ("C5 with ears 0-5-2 and 4-6-7-8-3: one theta descent",
      Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 5),
                (4, 6), (6, 7), (7, 8), (3, 8)])),
+    ("C7 with feet 1,1,0,0,0,0,1: witness (6, 0, 1)",
+     cycle_with_feet(7, [1, 1, 0, 0, 0, 0, 1])),
+    ("C7 with feet 1,0,0,0,0,1,2: witness (5, 6, 0)",
+     cycle_with_feet(7, [1, 0, 0, 0, 0, 1, 2])),
+    ("C5 with feet 2,1,0,0,1: witness (4, 0, 1)", cycle_with_feet(5, [2, 1, 0, 0, 1])),
 ]
 
 
@@ -155,6 +168,17 @@ def construct_record(name, g) -> str:
     if g.n >= 2 and not bridges(g):
         res = color_bridgeless2(g)
         row["bridgeless2"] = [res.k, res.provenance, _pairs(res.coloring)]
+    shape = classify_cycle_feet(g)
+    row["cycle_feet"] = [shape.member, shape.cycle, shape.feet, shape.witness, shape.reason]
+    if shape.two_colors:
+        row["cycle_feet2"] = _pairs(color_cycle_feet2(g, shape).coloring)
+    if odd is not None and len(odd) == g.n >= 5:
+        row["spanning"] = _pairs(color_spanning_odd_cycle2(g, odd).coloring)
+    elif odd is not None and len(blocks(g)) == 1 and not g.is_complete():
+        out = reduce_theta(g)
+        row["reduce_theta"] = (["theta", out.cycle, out.inverter]
+                               if isinstance(out, ThetaSubgraph) else
+                               ["layout", out.cycle_a, out.cycle_b, out.connector])
     return json.dumps(row)
 
 

@@ -62,6 +62,27 @@ class TestParse:
         assert isinstance(d, Digraph)
         assert d.arcs == ((0, 1), (1, 0), (1, 2))
 
+    @pytest.mark.parametrize("text, why", [
+        ("0 1\n-1 2\n", "line 2: negative vertex id in '-1 2'"),
+        ("# only a comment\n\n", "no edges or header found")])
+    def test_rejections(self, text, why):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == why
+
+    @pytest.mark.parametrize("text, why", [
+        ("# nothing\n", "empty coloring text"),
+        ("colors 2\n0 1 1\n", "coloring must start with 'k <count>', got 'colors 2'"),
+        ("k two\n", "bad color count 'two'"),
+        ("k 2\n0 1\n", "line 2: expected 'u v c', got '0 1'"),
+        ("k 2\n0 1 x\n", "line 2: expected 'u v c', got '0 1 x'"),
+        ("k 2\n0 1 1\n1 0 2\n", "line 3: edge (0, 1) colored twice"),
+        ("k 2\n0 1 3\n", "color 3 for edge (0, 1) outside 1..2")])
+    def test_coloring_rejections(self, text, why):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_coloring(text)
+        assert str(exc.value) == why
+
 
 class TestEmit:
     def test_triangle_edgelist(self):
@@ -96,6 +117,11 @@ class TestEmit:
     def test_directed_roundtrip(self):
         d = bowtie_digraph()
         assert parse_graph(emit_graph(d), directed=True) == d
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError) as exc:
+            emit_graph(cycle(3), fmt="svg")
+        assert str(exc.value) == "unknown format 'svg'"
 
 
 class TestGenerators:
@@ -182,6 +208,16 @@ class TestTypes:
         assert d.m == 2
         with pytest.raises(ValueError):
             Digraph(2, [(0, 1), (0, 1)])
+
+    @pytest.mark.parametrize("n, arcs, why", [
+        (-1, [], "vertex count must be nonnegative"),
+        (2, [(0, 5)], "arc (0, 5) out of range for n=2"),
+        (2, [(1, 1)], "loop at vertex 1 not allowed"),
+        (2, [(0, 1), (0, 1)], "duplicate arc (0, 1)")])
+    def test_digraph_rejections(self, n, arcs, why):
+        with pytest.raises(ValueError) as exc:
+            Digraph(n, arcs)
+        assert str(exc.value) == why
 
     def test_coloring_range(self):
         with pytest.raises(ValueError):
