@@ -31,8 +31,9 @@ show(color_unicyclic3(cycle(5)))
 
 # ## Bipartite graphs: two colors iff the two-bridge rule holds
 #
-# Strongly orient each nontrivial core component, color arcs by head class,
-# then color bridges by walking the contracted path.
+# Orient each nontrivial core component strongly (the low-link DFS arcs of
+# its blocks), color arcs by head class, then orient the bridges by a BFS
+# forest grown from an end core and color each by its head's class.
 
 print("six-cycle:")
 show(color_bipartite2(cycle(6)))

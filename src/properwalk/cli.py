@@ -14,7 +14,6 @@ import sys
 
 from . import construct, decompose, exact, graphs, verify
 from .graphs import emit_graph, generate, parse_coloring, parse_graph
-from .orient import robbins_orientation
 
 
 def _read_text(path: str) -> str:
@@ -88,13 +87,14 @@ def _cmd_analyze(args) -> int:
     print(f"contraction: {dec.contraction.graph.n} vertices,",
           "a path" if dec.contraction.is_path else "not a path")
     if args.orient:
+        # the low-link arcs of the nontrivial blocks, as the constructions color them
         for comp in dec.cores:
             if comp.trivial:
                 continue
-            sub, old = g.induced(comp.vertices)
-            oriented = robbins_orientation(sub)
-            arcs = " ".join(f"{old[a]}->{old[b]}" for a, b in oriented.arcs)
-            print(f"orientation {{{','.join(map(str, sorted(comp.vertices)))}}}: {arcs}")
+            arcs = sorted(arc for blk, blk_arcs in zip(dec.blocks, dec.arcs)
+                          if len(blk) > 2 and blk <= comp.vertices for arc in blk_arcs)
+            print(f"orientation {{{','.join(map(str, sorted(comp.vertices)))}}}:",
+                  " ".join(f"{a}->{b}" for a, b in arcs))
     return 0
 
 
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="print the structural decomposition")
     p.add_argument("graph")
     p.add_argument("--orient", action="store_true",
-                   help="also print strong orientations of the nontrivial core components")
+                   help="also print the core orientations the two-color constructions use")
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("color", help="construct a coloring")

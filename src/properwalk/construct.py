@@ -7,10 +7,11 @@ Exactness claims are explicit: ``status == "exact"`` means no smaller color
 count can work for this graph, either because the exhaustive solver said so
 or because the routing established matching lower and upper bounds.
 
-The searches come from ``decompose``: ``_layers`` is the one BFS layering and
-``_bfs_forest`` the one forest BFS.  ``_hang_trees`` colors every pendant
-forest, which ``_bfs_forest`` grows off a colored core.  ``_head_colored``
-colors every oriented bipartite part by its arc heads' ``_layers`` classes.
+The searches come from ``decompose``: ``_low_link`` is the one graph DFS,
+``_layers`` the one BFS layering and ``_bfs_forest`` the one forest BFS.
+``_hang_trees`` colors every pendant forest, which ``_bfs_forest`` grows off
+a colored core.  ``_head_colored`` colors every oriented bipartite part (the
+cores and blocks along their low-link arcs) by its arc heads' classes.
 ``graphs._steps`` is the one split of a vertex sequence into its edges, and
 ``_alternate`` the one alternation rule: every cycle and path a construction
 colors alternates, and a construction then recolors at most its break edges.
@@ -26,7 +27,7 @@ from .graphs import (ColoringResult, EdgeColoring, Graph, _steps,
 from .decompose import (Decomposition, _bfs_forest, _connect, _cycle_edges,
                         _disjoint_odd_cycles, _layers, decomposition,
                         rotate_cycle, shortest_odd_cycle, two_disjoint_paths)
-from .orient import path_anchored_orientation, robbins_orientation
+from .orient import path_anchored_orientation
 from .verify import verify_all_pairs
 from . import exact as _exact
 
@@ -155,12 +156,12 @@ class ConditionViolation:
                 f"{self.bridge_count} bridges (more than two)")
 
 
-def _head_colored(assignment: dict, arcs, old, klass) -> None:
-    """Color each arc a -> b of an oriented induced subgraph (``old`` maps
-    its ids to g's, as ``Graph.induced`` gives them) by the class of its
-    head, 1 + klass[b]; directed walks then alternate colors."""
+def _head_colored(assignment: dict, arcs, depth, base: int = 0) -> None:
+    """Color each arc a -> b of an oriented bipartite part by the class of
+    its head, 1 + ((depth[b] ^ base) & 1), where the parities of ``depth``
+    are the part's classes; directed walks then alternate colors."""
     for a, b in arcs:
-        assignment[canonical_edge(old[a], old[b])] = 1 + klass[b]
+        assignment[canonical_edge(a, b)] = 1 + ((depth[b] ^ base) & 1)
 
 
 def color_bipartite2(g: Graph):
@@ -168,11 +169,12 @@ def color_bipartite2(g: Graph):
     the violating core component when some component touches three or more
     bridges (in which case two colors cannot suffice).
 
-    Each nontrivial bridgeless-core component is strongly oriented and
-    head-colored; each bridge, oriented away from an end of the contracted
-    path, takes its head's class relative to the first bridge's head, so
-    consecutive bridges share a color exactly when their attachment vertices
-    in the shared component lie in different classes.
+    Each nontrivial bridgeless-core component is head-colored along the
+    low-link arcs of its blocks, a strong orientation; each bridge, oriented
+    away from an end of the contracted path, takes its head's class relative
+    to the first bridge's head, so consecutive bridges share a color exactly
+    when their attachment vertices in the shared component lie in different
+    classes.
     """
     dec = decomposition(g)
     if g.n < 3:
@@ -189,11 +191,9 @@ def _bipartite2(g: Graph, dec: Decomposition):
 
     depth = dec.depth
     assignment = {}
-    for comp in dec.cores:
-        if not comp.trivial:
-            sub, old = g.induced(comp.vertices)
-            _head_colored(assignment, robbins_orientation(sub).arcs, old,
-                          [depth[v] & 1 for v in old])
+    for blk, arcs in zip(dec.blocks, dec.arcs):
+        if len(blk) > 2:            # the blocks of the nontrivial cores
+            _head_colored(assignment, arcs, depth)
     if dec.bridges:
         # a bridge lies in every spanning forest, so the forest grown from
         # an end core reaches the bridges' heads in path order
@@ -226,13 +226,11 @@ def _check_layout(g: Graph, layout: TwoOddLayout) -> None:
     ca, cb, conn = layout.cycle_a, layout.cycle_b, layout.connector
     if len(ca) % 2 == 0 or len(cb) % 2 == 0:
         raise ValueError("cycles must be odd")
-    ea = _cycle_edges(ca)
-    eb = _cycle_edges(cb)
-    if ea & eb:
+    if _cycle_edges(ca) & _cycle_edges(cb):
         raise ValueError("cycles share an edge")
-    for e in ea | eb:
-        if not g.has_edge(*e):
-            raise ValueError(f"cycle edge {e} missing from graph")
+    for x, y in _steps(ca, closed=True) + _steps(cb, closed=True):
+        if not g.has_edge(x, y):
+            raise ValueError(f"cycle edge {canonical_edge(x, y)} missing from graph")
     if ca[0] != conn[0] or cb[0] != conn[-1]:
         raise ValueError("connector must run from cycle_a[0] to cycle_b[0]")
     if not all(g.has_edge(*e) for e in _steps(conn)):
@@ -493,7 +491,8 @@ def _assemble_theta_coloring(g: Graph, theta: ThetaSubgraph,
         depth, ends = _layers(sub)
         if ends:
             raise AssertionError("region off the outer cycle must be bipartite after descent")
-        _head_colored(assignment, oriented.arcs.arcs, old, [(d + hphase) & 1 for d in depth])
+        _head_colored(assignment, [(old[a], old[b]) for a, b in oriented.arcs.arcs],
+                      dict(zip(old, depth)), hphase)
         assignment[canonical_edge(p[0], p[1])] = 3 - assignment[canonical_edge(p[1], p[2])]
         assignment[canonical_edge(p[-2], p[-1])] = 3 - assignment[canonical_edge(p[-3], p[-2])]
 
@@ -582,11 +581,9 @@ def _bridgeless2(g: Graph, dec: Decomposition) -> ColoringResult:
     # odd_blocks has searched every block, so the others are bipartite; a
     # class is the depth parity against the block's lowest vertex
     depth = dec.depth
-    for other in dec.blocks:
+    for other, arcs in zip(dec.blocks, dec.arcs):
         if other != blk:
-            sub, old = g.induced(other)
-            _head_colored(assignment, robbins_orientation(sub).arcs, old,
-                          [(depth[v] ^ depth[old[0]]) & 1 for v in old])
+            _head_colored(assignment, arcs, depth, depth[min(other)])
     return _finalize(g, assignment, 2, "exact", "bridgeless: one odd block")
 
 

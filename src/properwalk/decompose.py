@@ -1,12 +1,16 @@
 """Structural decompositions: blocks and bridges, the bridge-deleted core
 and its contraction, bipartitions, odd cycles, disjoint paths.
 
-``blocks`` holds the only low-link DFS (Hopcroft and Tarjan 1973); in a
-simple graph the bridges are exactly the 2-vertex blocks.  A
-``Decomposition`` bundles one such pass with the cores and the one
-``_layers`` result; the dispatcher builds one per call and passes it to the
-constructions.  Its bipartition, core contraction and shortest odd cycles,
-per block and of the whole graph, are computed lazily and at most once.
+``_low_link`` is the one DFS of a graph, a low-link pass (Hopcroft and
+Tarjan 1973); in a simple graph the bridges are exactly the 2-vertex
+blocks.  It also keeps each block's edges as the arcs it traversed them
+along, a strong orientation of every block with at least 3 vertices
+(Robbins 1939), which ``orient.robbins_orientation`` and the two-color
+constructions read.  A ``Decomposition`` bundles one such pass with the
+cores and the one ``_layers`` result; the dispatcher builds one per call and
+passes it to the constructions.  Its bipartition, core contraction and
+shortest odd cycles, per block and of the whole graph, are computed lazily
+and at most once.
 
 ``_layers`` is the one BFS layering (every vertex class, the
 ``shortest_odd_cycle`` starts), ``_bfs_forest`` the one forest BFS (the
@@ -23,7 +27,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 from .graphs import Graph, _steps, canonical_edge
 
@@ -41,17 +45,29 @@ def blocks(g: Graph) -> tuple[frozenset[int], ...]:
     """Blocks of a connected graph, from one low-link DFS: maximal
     2-connected subgraphs plus bridge edges, each given by its vertex set
     (blocks are induced subgraphs)."""
+    return _low_link(g)[0]
+
+
+def _low_link(g: Graph):
+    """The one low-link DFS, from vertex 0 in neighbor order: (``blocks``,
+    each block's edges as the arcs the DFS traversed them along).  Tree edges
+    point away from vertex 0 and back edges toward the ancestor.  The strong
+    components of such an orientation are the 2-edge-connected components,
+    and a directed walk that leaves a block through a cut vertex must come
+    back through it, so every block with at least 3 vertices, and every
+    nontrivial core, is strongly connected under its arcs."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
     n = g.n
     if n <= 1:
-        return ()
+        return (), ()
     disc = [0] * n          # 1-based discovery index, 0 = unvisited
     low = [0] * n
+    into = [0] * n          # edge_stack index of the tree arc into each vertex
     disc[0] = low[0] = 1
     counter = 2
     edge_stack: list[tuple[int, int]] = []
-    found: list[frozenset[int]] = []
+    found: list[tuple[frozenset[int], tuple[tuple[int, int], ...]]] = []
     stack = [(0, -1, 0)]    # (vertex, parent, index into adjacency)
     while stack:
         v, parent, i = stack.pop()
@@ -69,6 +85,7 @@ def blocks(g: Graph) -> tuple[frozenset[int], ...]:
             else:
                 disc[w] = low[w] = counter
                 counter += 1
+                into[w] = len(edge_stack)
                 edge_stack.append((v, w))
                 stack.append((w, v, 0))
         else:
@@ -76,16 +93,14 @@ def blocks(g: Graph) -> tuple[frozenset[int], ...]:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
                 if low[v] >= disc[parent]:
-                    # parent closes a block; pop edges down to (parent, v)
-                    members = set()
-                    while True:
-                        a, b = edge_stack.pop()
-                        members.add(a)
-                        members.add(b)
-                        if (a, b) == (parent, v):
-                            break
-                    found.append(frozenset(members))
-    return tuple(sorted(found, key=lambda s: (min(s), sorted(s))))
+                    # parent closes a block: its arcs are (parent, v) and
+                    # every arc stacked above it
+                    i = into[v]
+                    arcs = tuple(edge_stack[i:])
+                    del edge_stack[i:]
+                    found.append((frozenset(chain.from_iterable(arcs)), arcs))
+    found.sort(key=lambda f: (min(f[0]), sorted(f[0])))
+    return tuple(f[0] for f in found), tuple(f[1] for f in found)
 
 
 @dataclass(frozen=True)
@@ -432,12 +447,15 @@ def contract_core_graph(g: Graph) -> CoreContraction:
 class Decomposition:
     """The structural facts the coloring constructions rely on, for one
     connected graph; the bipartition, contraction and odd cycles are
-    computed on demand.  ``depth`` and ``ends`` are its ``_layers``; on a
-    bipartite block the depth parities are the block's classes up to one
-    swap, as shortest paths from vertex 0 enter it at one cut vertex."""
+    computed on demand.  ``arcs`` holds each block's edges as the
+    ``_low_link`` DFS oriented them, aligned with ``blocks``.  ``depth`` and
+    ``ends`` are its ``_layers``; on a bipartite block the depth parities are
+    the block's classes up to one swap, as shortest paths from vertex 0 enter
+    it at one cut vertex."""
 
     bridges: frozenset[tuple[int, int]]
     blocks: tuple[frozenset[int], ...]
+    arcs: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
     cores: tuple[CoreComponent, ...]
     depth: tuple[int, ...] = field(repr=False)
     ends: tuple[int, ...]
@@ -492,9 +510,9 @@ class Decomposition:
 
 
 def decomposition(g: Graph) -> Decomposition:
-    """Bridges, blocks, cores and BFS layering of a connected graph, from one
-    low-link pass and one ``_layers`` run."""
-    blks = blocks(g)
+    """Bridges, blocks with their arcs, cores and BFS layering of a connected
+    graph, from one low-link pass and one ``_layers`` run."""
+    blks, arcs = _low_link(g)
     cut = _bridges_of(blks)
     comp = [-1] * g.n
     comps: list[set[int]] = []
@@ -518,4 +536,4 @@ def decomposition(g: Graph) -> Decomposition:
         incident[comp[v]].append((u, v))
     # components were found from their lowest vertex, so they are in order
     cores = tuple(CoreComponent(frozenset(vs), tuple(inc)) for vs, inc in zip(comps, incident))
-    return Decomposition(cut, blks, cores, *map(tuple, _layers(g)), g)
+    return Decomposition(cut, blks, arcs, cores, *map(tuple, _layers(g)), g)

@@ -1,47 +1,25 @@
 """Orientations: strongly connected orientations of 2-edge-connected graphs,
-and the path-anchored orientation used for coloring around an anchor path."""
+read from the one low-link DFS in ``decompose``, and the path-anchored
+orientation used for coloring around an anchor path."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .graphs import Digraph, Graph, _reached, _steps
-from .decompose import two_disjoint_paths
+from .decompose import _low_link, two_disjoint_paths
 
 
 def robbins_orientation(h: Graph) -> Digraph:
     """Orient every edge of a 2-edge-connected graph so the result is
-    strongly connected: DFS tree edges point away from the root, every other
-    edge points back toward an ancestor.  Such an orientation of a connected
-    graph is strong exactly when the graph has no bridge (Robbins), so the
+    strongly connected: the arcs of the ``decompose`` low-link DFS, whose
+    tree edges point away from vertex 0 and whose other edges point back
+    toward an ancestor.  Such an orientation of a connected graph is strong
+    exactly when the graph has no bridge (Robbins), so the
     strong-connectivity check of the result is also the bridge check."""
     if h.n < 2:
         raise ValueError("need at least 2 vertices to orient")
-    if not h.is_connected():
-        raise ValueError("graph is not connected")
-
-    visited = [False] * h.n
-    visited[0] = True
-    arcs = []
-    oriented = set()
-    stack = [(0, 0)]
-    while stack:
-        v, i = stack.pop()
-        adj = h.neighbors(v)
-        if i >= len(adj):
-            continue
-        stack.append((v, i + 1))
-        w = adj[i]
-        e = (v, w) if v < w else (w, v)
-        if e in oriented:
-            continue
-        oriented.add(e)
-        arcs.append((v, w))
-        if not visited[w]:
-            visited[w] = True
-            stack.append((w, 0))
-
-    d = Digraph(h.n, arcs)
+    d = Digraph(h.n, [arc for arcs in _low_link(h)[1] for arc in arcs])
     if not d.is_strongly_connected():
         raise ValueError("graph has a bridge; no strongly connected orientation exists")
     return d

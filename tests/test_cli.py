@@ -95,6 +95,14 @@ class TestAnalyze:
         assert out.endswith("contraction: 2 vertices, a path\n"
                             "orientation {0,1,2}: 0->1 1->2 2->0\n")
 
+    def test_orient_shows_the_low_link_arcs(self, run, tmp_path):
+        # the core {1,2,3} is entered through the bridge at vertex 2, so its
+        # arcs start there, as the ones the two-color constructions color
+        path = write(tmp_path, "g.txt", "0 2\n1 2\n1 3\n2 3\n")
+        code, out, _ = run("analyze", path, "--orient")
+        assert code == 0
+        assert out.endswith("orientation {1,2,3}: 1->3 2->1 3->2\n")
+
     def test_unreadable(self, run, tmp_path):
         code, _, err = run("analyze", str(tmp_path / "missing.txt"))
         assert code == 2 and "error:" in err

@@ -195,7 +195,9 @@ class TestColorTwoOddCycles2:
         (((2, 0, 1), (4, 5, 3), (2, 3, 4)), "cycle edge (3, 5) missing from graph"),
         (((0, 1, 2), (4, 5, 6), (2, 3, 4)), "connector must run from cycle_a[0] to cycle_b[0]"),
         (((2, 0, 1), (4, 5, 6), (2, 4)), "connector is not a path in the graph"),
-        (((1, 2, 0), (4, 5, 6), (1, 2, 3, 4)), "connector passes through a cycle")])
+        (((1, 2, 0), (4, 5, 6), (1, 2, 3, 4)), "connector passes through a cycle"),
+        # the first missing edge in cycle order, not in set order
+        (((2, 0, 1), (4, 3, 6, 5, 1), (2, 3, 4)), "cycle edge (3, 6) missing from graph")])
     def test_bad_layout_rejected(self, layout, why):
         g = self.LAYOUT_GRAPH
         assert color_two_odd_cycles2(g, TwoOddLayout((2, 0, 1), (4, 5, 6), (2, 3, 4))).k == 2

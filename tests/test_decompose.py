@@ -227,14 +227,31 @@ class TestBlocks:
         assert blocks(cycle(6)) == (frozenset(range(6)),)
 
     def test_every_edge_in_exactly_one_block(self):
-        for n in range(2, 7):
-            for g in connected_graphs(n):
-                count = {e: 0 for e in g.edges}
-                for blk in blocks(g):
-                    for e in g.edges:
-                        if e[0] in blk and e[1] in blk:
-                            count[e] += 1
-                assert all(c == 1 for c in count.values()), g.edges
+        # ... and the low-link arcs the two-color constructions head-color
+        # orient every edge once, span their block, and strongly connect
+        # every block of 3 or more vertices and every nontrivial core
+        graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+        graphs += [random_connected(7 + seed % 24, 0.06 + 0.01 * (seed % 20), seed)
+                   for seed in range(60)]
+        for g in graphs:
+            dec = decompose.decomposition(g)
+            count = {e: 0 for e in g.edges}
+            for blk in dec.blocks:
+                for e in g.edges:
+                    if e[0] in blk and e[1] in blk:
+                        count[e] += 1
+            assert all(c == 1 for c in count.values()), g.edges
+            assert sorted(canonical_edge(*a) for arcs in dec.arcs for a in arcs) == list(g.edges)
+            for blk, arcs in zip(dec.blocks, dec.arcs):
+                assert {x for a in arcs for x in a} == blk, g.edges
+                if len(blk) > 2:
+                    assert nx.is_strongly_connected(nx.DiGraph(arcs)), g.edges
+            for comp in dec.cores:
+                if not comp.trivial:
+                    arcs = [a for blk, blk_arcs in zip(dec.blocks, dec.arcs)
+                            if blk <= comp.vertices for a in blk_arcs]
+                    core = nx.DiGraph(arcs)
+                    assert set(core) == comp.vertices and nx.is_strongly_connected(core)
 
 
 class TestOddBlocks:

@@ -23,6 +23,9 @@ of both files unchanged.  Regenerate them only for an intended change of
 output, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints one line per case it rewrites, with the top-level fields that
+differ, so the changed entries can be listed; unchanged cases print nothing.
 """
 
 import json
@@ -205,7 +208,38 @@ def test_constructions_match_golden():
     _matches(CONSTRUCT_GOLDEN, current_construct_lines())
 
 
+def test_rewrite_lists_changed_cases(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"case": "a", "k": 2, "x": [1]}\n{"case": "b", "k": 3}\n')
+    lines = ['{"case": "a", "k": 2, "x": [2], "y": 0}', '{"case": "c", "k": 1}']
+    _rewrite(path, lines)
+    assert capsys.readouterr().out == "g.json: a: x, y\ng.json: c: new\ng.json: b: gone\n"
+    assert path.read_text() == "\n".join(lines) + "\n"
+    _rewrite(path, lines)
+    assert capsys.readouterr().out == ""
+
+
+def _rewrite(path, lines) -> None:
+    """Write ``lines`` to ``path``, printing the file, the case and the
+    differing top-level fields of every case that is new, gone or changed."""
+    old = {}
+    if path.exists():
+        old = {json.loads(line)["case"]: line for line in path.read_text().splitlines()}
+    for line in lines:
+        row = json.loads(line)
+        prev = old.pop(row["case"], None)
+        if prev is None:
+            print(f"{path.name}: {row['case']}: new")
+        elif prev != line:
+            was = json.loads(prev)
+            fields = sorted(f for f in row.keys() | was.keys() if row.get(f) != was.get(f))
+            print(f"{path.name}: {row['case']}: {', '.join(fields)}")
+    for case in old:
+        print(f"{path.name}: {case}: gone")
+    path.write_text("\n".join(lines) + "\n")
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    GOLDEN.write_text("\n".join(current_lines()) + "\n")
-    CONSTRUCT_GOLDEN.write_text("\n".join(current_construct_lines()) + "\n")
+    _rewrite(GOLDEN, current_lines())
+    _rewrite(CONSTRUCT_GOLDEN, current_construct_lines())
