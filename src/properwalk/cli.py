@@ -210,10 +210,7 @@ def _cmd_experiment(args) -> int:
     # every argument is checked before the table starts on stdout
     if args.trials < 0:
         raise ValueError("trials must be nonnegative")
-    if args.n < 1:
-        raise ValueError("need at least 1 vertex")
-    if not 0.0 <= args.p <= 1.0:
-        raise ValueError("edge probability must lie in [0, 1]")
+    graphs._check_gnp(args.n, args.p)
     print("trial n m k status" + (" exact agree" if args.exact else ""))
     k_hist: dict[int, int] = {}
     statuses: dict[str, int] = {}

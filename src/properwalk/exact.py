@@ -9,11 +9,15 @@ the canonically smallest passing coloring.
 Each search checks its first _HEAD colorings one at a time with the
 verifiers' all-pairs walk check, one SCC pass over the (vertex, last color)
 states.  With numpy and at most 63 vertices, the rest of the level goes
-through a numpy kernel in blocks of consecutive colorings, one uint64 lane
-per coloring: a bit-parallel fixpoint over the arcs, seeded with the empty
-walk, at one AND and one OR per arc per sweep.  Passing lanes come out in
-lane order, so witnesses and explored counts match the one-at-a-time search.
-Without numpy the whole search runs on the SCC pass.
+through a block kernel in blocks of consecutive colorings, one lane per
+coloring.  Each lane owns a field of the fewest bytes that hold n bits, and
+one Python int per (vertex, last color) state packs the fields of every
+lane: the kernel is a bit-parallel fixpoint over the arcs, seeded with the
+empty walk, at one AND, one OR and one compare per arc and color per sweep,
+over every lane and every source at once.  numpy builds and filters the
+blocks and decodes the answer.  Passing lanes come out in lane order, so
+witnesses and explored counts match the one-at-a-time search.  Without
+numpy the whole search runs on the SCC pass.
 
 Before either check, a coloring that strands a leaf is rejected: if x has
 a single edge or arc e, to y, and every other edge leaving y has e's color,
@@ -31,8 +35,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, product
+from operator import or_
 
 from .graphs import Digraph, EdgeColoring, Graph
 from .verify import (_first_failure, _first_path_failure, verify_all_pairs,
@@ -45,13 +50,13 @@ except ImportError:        # pragma: no cover - exercised in a subprocess test
 
 
 PATH_VERTEX_LIMIT = 10
-# Colorings each search checks one at a time before batching: one numpy
-# block of the rest of a level, leaf filter included, costs as much as about
-# 35 (k = 2) to 41 (k = 3) of those checks, median 39, on 6-vertex graphs
-# (2-vCPU x86 VM).  32 lost on the many tiny searches: their slowest calls
-# took 40 % longer.
+# Colorings each search checks one at a time before batching: one block of
+# the rest of a level, leaf filter included, costs as much as about 11
+# (k = 2) to 14 (k = 3) of those checks, median 13, on 6-vertex graphs
+# (2-vCPU x86 VM).  Still, 32 lost on the many tiny searches, most of which
+# pass within the head: on sweep-small their slowest calls took 17 % longer.
 _HEAD = 64
-_LANES = 1024       # most colorings in one numpy block
+_LANES = 1024       # most colorings in one block
 
 
 class BudgetExceededError(ValueError):
@@ -263,55 +268,66 @@ def _assemble(heads, tails):
 def _block_ok(k, nbrs, lanes):
     """The all-pairs walk check on every row of ``lanes`` (one coloring of
     the edges of ``nbrs`` per row) at once; returns one bool per row.
-    reach[v, c] holds one uint64 per lane whose bit u says that source u
-    reaches v by a walk ending in color c + 1, or u = v: the empty walk
-    seeds bit v into every row of v, since it may leave v along any color.
 
-    Each sweep visits the tails a in vertex order.  avail[c], the sources
-    whose walks may leave a along color c + 1, is the OR of a's rows other
-    than c: a reversed view at k = 2, k - 2 ORs per color into a shared
-    buffer at k >= 3, the seed alone at k = 1.  Each arc a -> b of edge e
-    then costs one AND with picks[e], whose row c is all ones in the lanes
-    where e has color c + 1, and one OR into reach[b].  Sweeps repeat until
-    no lane changes; the answer is the least fixpoint, so the order sets
-    only the number of sweeps."""
+    Each lane owns a field of the smallest little-endian width that holds n
+    bits, and one Python int per (vertex v, color c) packs the fields of
+    all lanes: bit u of lane i's field says that source u reaches v by a
+    walk ending in color c + 1, or u = v.  The empty walk seeds bit v into
+    every field of v, since it may leave v along any color.
+
+    Each sweep visits the tails a in vertex order, skipping those whose
+    ints are unchanged since their last visit.  avail[c], the sources whose
+    walks may leave a along color c + 1, is the seed alone at k = 1, the
+    other color's int at k = 2 and the OR of the other colors' ints at
+    k >= 3.  Each arc a -> b of edge e then costs, per color c that e takes
+    in some lane, one AND with the pick of (e, c), whose fields are all
+    ones in the lanes where e has color c + 1, one OR into b's int and one
+    compare.  Sweeps repeat until no int changes; the answer is the least
+    fixpoint, so the order sets only the number of sweeps.  A lane passes
+    when every field of the AND over v of v's OR over colors is full."""
     n = len(nbrs)
-    size = len(lanes)
-    picks = _np.where(lanes.T[:, None, :] == _np.arange(1, k + 1)[:, None],
-                      _np.uint64(2 ** 64 - 1), _np.uint64(0))
-    seeds = _np.uint64(1) << _np.arange(n, dtype=_np.uint64)
-    reach = _np.empty((n, k, size), dtype=_np.uint64)
-    reach[...] = seeds[:, None, None]
-    shared = _np.empty((k, size), dtype=_np.uint64)
-    tails = []
-    for a, row in enumerate(nbrs):
-        ors = []
-        if k == 1:
-            avail = seeds[a]
-        elif k == 2:
-            avail = reach[a, ::-1]
-        else:
-            avail = shared
-            for c in range(k):
-                first, second, *rest = [reach[a, c2] for c2 in range(k) if c2 != c]
-                ors.append((shared[c], first, second, rest))
-        tails.append((ors, avail, [(picks[e], reach[b]) for b, e in row]))
-    work = _np.empty((k, size), dtype=_np.uint64)
-    seen = _np.empty_like(reach)
-    while True:
-        seen[...] = reach
-        for ors, avail, arcs in tails:
-            for out, first, second, rest in ors:
-                _np.bitwise_or(first, second, out=out)
-                for other in rest:
-                    _np.bitwise_or(out, other, out=out)
-            for pick, target in arcs:
-                _np.bitwise_and(avail, pick, out=work)
-                _np.bitwise_or(target, work, out=target)
-        if _np.array_equal(seen, reach):
-            break
-    cover = _np.bitwise_or.reduce(reach, axis=1)
-    return (cover == _np.uint64((1 << n) - 1)).all(axis=0)
+    width = next(w for w in (1, 2, 4, 8) if 8 * w >= n)
+    field = _np.dtype(f"<u{width}")
+    colored = (_np.ascontiguousarray(lanes.T)[:, None, :]
+               == _np.arange(1, k + 1, dtype=lanes.dtype)[:, None])
+    data = (colored.astype(field) * field.type(256 ** width - 1)).tobytes()
+    step = len(lanes) * width
+    ints = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+    picks = [[(c, pick) for c, pick in enumerate(ints[i:i + k]) if pick]
+             for i in range(0, len(ints), k)]
+    ones = int.from_bytes(_np.ones(len(lanes), field).tobytes(), "little")
+    seeds = [ones << v for v in range(n)]
+    reach = [[seed] * k for seed in seeds]
+    tails = [[(reach[b], b, picks[e]) for b, e in row] for row in nbrs]
+    dirty = [True] * n
+    while True in dirty:
+        for a, arcs in enumerate(tails):
+            if not dirty[a]:
+                continue
+            dirty[a] = False
+            avail = _others(k, reach[a], seeds[a])
+            for target, b, steps in arcs:
+                for c, pick in steps:
+                    old = target[c]
+                    new = old | (avail[c] & pick)
+                    if new != old:
+                        target[c] = new
+                        dirty[b] = True
+    cover = -1
+    for states in reach:
+        cover &= reduce(or_, states)
+    fields = _np.frombuffer(cover.to_bytes(step, "little"), field)
+    return fields == (1 << n) - 1
+
+
+def _others(k, ints, seed):
+    """For each color c, the OR of ``ints`` over the colors other than c;
+    the seed alone at k = 1."""
+    if k == 1:
+        return (seed,)
+    if k == 2:
+        return ints[1], ints[0]
+    return [reduce(or_, ints[:c] + ints[c + 1:]) for c in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +363,17 @@ def _solve(n, pairs, bidirectional, max_k, budgets):
 
 
 def _first(results, accept) -> ExactResult | None:
-    """The first of ``results`` whose witness ``accept`` passes, or None."""
-    return next((res for res in results if accept(res.witness)), None)
+    """The first of ``results`` whose witness ``accept`` passes, or None.
+    An iterator is left open, so a later call reads on from there."""
+    for res in results:
+        if accept(res.witness):
+            return res
+    return None
 
 
 def _verified(verifier, graph):
     """Walk-mode acceptor: the search's witness must pass the public
-    verifier, which shares no code with the numpy block kernel.  A rejection
+    verifier, which shares no code with the block kernel.  A rejection
     is a kernel fault, raised even under python -O."""
     def accept(witness):
         ok, pair = verifier(graph, witness)

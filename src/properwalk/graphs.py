@@ -492,12 +492,19 @@ def directed_cycle(n: int) -> Digraph:
     return Digraph(n, _steps(range(n), closed=True))
 
 
-def random_connected(n: int, p: float, seed=None, max_tries: int = 100000) -> Graph:
-    """Erdos-Renyi G(n, p) resampled until connected; deterministic under seed."""
+def _check_gnp(n: int, p: float) -> None:
+    """Reject G(n, p) parameters that random_connected can never satisfy."""
     if n < 1:
         raise ValueError("need at least 1 vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    if p == 0 and n >= 2:
+        raise ValueError(f"edge probability 0 never connects {n} vertices")
+
+
+def random_connected(n: int, p: float, seed=None, max_tries: int = 100000) -> Graph:
+    """Erdos-Renyi G(n, p) resampled until connected; deterministic under seed."""
+    _check_gnp(n, p)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     for _ in range(max_tries):

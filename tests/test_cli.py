@@ -44,6 +44,10 @@ class TestGen:
         code, out, _ = run("gen", "bowtie_digraph", "--directed")
         assert code == 0 and out.splitlines()[0] == "5 6"
 
+    def test_random_connected_without_edges_exit2(self, run):
+        assert run("gen", "random_connected", "50", "0") == (
+            2, "", "error: edge probability 0 never connects 50 vertices\n")
+
     def test_dot(self, run):
         code, out, _ = run("gen", "complete", "3", "--dot")
         assert code == 0 and out.startswith("graph g {")
@@ -366,7 +370,8 @@ class TestExperiment:
         ("0", "0.5", "1", "need at least 1 vertex"),
         ("5", "1.5", "1", "edge probability must lie in [0, 1]"),
         ("5", "-0.1", "0", "edge probability must lie in [0, 1]"),
-        ("5", "0.5", "-1", "trials must be nonnegative")])
+        ("5", "0.5", "-1", "trials must be nonnegative"),
+        ("50", "0", "3", "edge probability 0 never connects 50 vertices")])
     def test_bad_arguments_print_no_table(self, run, n, p, trials, why):
         assert run("experiment", "--n", n, "--p", p, "--trials", trials,
                    "--seed", "1") == (2, "", f"error: {why}\n")

@@ -341,6 +341,48 @@ class TestBlockKernel:
             assert bool(blocks) == (numpy is not None)
 
 
+class TestKernelFieldWidths:
+    """The block kernel against verify's SCC pass, lane by lane, where the
+    number of vertices changes the width of a lane's field."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63])
+    def test_boundaries(self, n, directed):
+        # n = 8/9, 16/17 and 32/33 straddle the 1-, 2- and 4-byte lane fields
+        # and 63 nearly fills the 8-byte one; 37 lanes are not a multiple of 8.
+        # The base is a path 0 - 1 - ... - n-1, both arcs of each step on a
+        # digraph, plus n // 2 random chords; a lane that alternates colors
+        # 1 and 2 along the path passes whatever the chords get, and the lane
+        # of all ones fails.
+        rng = random.Random(n)
+        path = [(i, i + 1) for i in range(n - 1)]
+        chords = rng.sample([(u, v) for u in range(n) for v in range(u + 2, n)], n // 2)
+        if directed:
+            path += [(v, u) for u, v in path]
+            chords = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in chords]
+        pairs = path + chords
+        nbrs = exact._neighbor_table(n, pairs, not directed)
+        for k in (1, 2, 3, 4):
+            rows = [[1] * len(pairs)]
+            for i in range(36):
+                chord_colors = [rng.randint(1, k) for _ in chords]
+                if i % 3 == 0 and k >= 2:
+                    rows.append([1 + min(u, v) % 2 for u, v in path] + chord_colors)
+                else:
+                    rows.append([rng.randint(1, k) for _ in path] + chord_colors)
+            rng.shuffle(rows)
+            lanes = np.array(rows, dtype=np.uint8)
+            want = [exact._first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None
+                    for s in rows]
+            assert exact._block_ok(k, nbrs, lanes).tolist() == want, k
+            assert (True in want) == (k >= 2) and False in want
+        # with one color only a complete graph or digraph passes
+        pairs = [(u, v) for u in range(n) for v in range(n) if u < v or directed and u != v]
+        nbrs = exact._neighbor_table(n, pairs, not directed)
+        lanes = np.ones((5, len(pairs)), dtype=np.uint8)
+        assert exact._block_ok(1, nbrs, lanes).tolist() == [True] * 5
+
+
 def drain(gen):
     """The items a generator yields and the value it returns."""
     items = []

@@ -177,6 +177,21 @@ class TestGenerators:
         c = random_connected(8, 0.3, seed=43)
         assert a != c  # overwhelmingly likely under different seeds
 
+    def test_random_connected_samples_as_before(self):
+        # the argument checks draw nothing, so each seed keeps its sample
+        assert random_connected(8, 0.3, seed=42).edges == (
+            (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (1, 7), (2, 3), (2, 6),
+            (3, 5), (4, 6), (5, 7), (6, 7))
+        assert random_connected(6, 0.1, seed=3).edges == ((0, 3), (1, 3), (1, 4), (2, 5), (4, 5))
+        assert random_connected(4, 1.0, seed=0) == complete(4)
+        assert random_connected(1, 0.0, seed=0) == Graph(1)
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_random_connected_fails_fast_without_edges(self, n):
+        # G(n, 0) has no edges, so no sample on two or more vertices connects
+        with pytest.raises(ValueError, match=f"^edge probability 0 never connects {n} vertices$"):
+            random_connected(n, 0.0)
+
     def test_theta_two_connected_nonbipartite(self):
         from properwalk import bipartition, blocks, bridges
         for params in ((2, 2, 1), (1, 3, 2), (3, 5, 2), (4, 4, 3), (2, 4, 5)):

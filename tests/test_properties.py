@@ -187,3 +187,28 @@ def test_block_kernel_matches_scc_pass(directed, data):
     want = [exact._first_failure([[(y, int(s[e])) for y, e in row] for row in nbrs], k) is None
             for s in lanes]
     assert exact._block_ok(k, nbrs, lanes).tolist() == want
+
+
+@PROPERTY
+@given(st.booleans(), st.data())
+def test_block_kernel_on_canonical_lanes(directed, data):
+    # the rows the search hands the kernel: canonical colorings, here of
+    # random graphs and digraphs with up to 20 vertices, so that lanes of
+    # one and two bytes both occur
+    if directed:
+        d = data.draw(strongly_connected(max_n=20))
+        n, pairs = d.n, d.arcs
+    else:
+        g = data.draw(connected(max_n=20))
+        n, pairs = g.n, g.edges
+    k = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for row in rng.integers(1, k + 1, size=(data.draw(st.integers(1, 200)), len(pairs))).tolist():
+        first = {}
+        rows.append([first.setdefault(c, len(first) + 1) for c in row])
+    lanes = np.array(rows, dtype=np.uint8).reshape(len(rows), len(pairs))
+    nbrs = exact._neighbor_table(n, pairs, not directed)
+    want = [exact._first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None
+            for s in rows]
+    assert exact._block_ok(k, nbrs, lanes).tolist() == want

@@ -41,3 +41,25 @@ def test_bench_span_targets_resolve():
         assert callable(func), (name, modname, attr)
         if name.startswith("exact."):       # the tracer reads max_k off each call
             assert "max_k" in inspect.signature(func).parameters, name
+
+
+def test_block_kernel_shares_no_verify_code():
+    """exact._verified re-checks each witness of the block kernel with the
+    public verifier, which is a check only while the two share no code: no
+    name read by _block_ok, or by the exact.py functions it calls, comes
+    from properwalk.verify."""
+    from properwalk import exact, verify
+    tree = ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names, todo = set(), ["_block_ok"]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id not in names:
+                names.add(node.id)
+                if node.id in defs:
+                    todo.append(node.id)
+    assert "_others" in names
+    shared = sorted(name for name in names if hasattr(exact, name)
+                    and (getattr(exact, name) is verify
+                         or getattr(getattr(exact, name), "__module__", None) == verify.__name__))
+    assert shared == []
