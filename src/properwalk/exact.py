@@ -6,24 +6,17 @@ order) is color 1 and each new color index first appears in edge order, which
 removes the k! color-permutation symmetry.  The reported witness is always
 the canonically smallest passing coloring.
 
-Each search checks its first _HEAD colorings one at a time with the
-verifiers' all-pairs walk check, one SCC pass over the (vertex, last color)
-states.  With numpy and at most 63 vertices, the rest of the level goes
-through a block kernel in blocks of consecutive colorings, one lane per
-coloring.  Each lane owns a field of the fewest bytes that hold n bits, and
-one Python int per (vertex, last color) state packs the fields of every
-lane: the kernel is a bit-parallel fixpoint over the arcs, seeded with the
-empty walk, at one AND, one OR and one compare per arc and color per sweep,
-over every lane and every source at once.  numpy builds and filters the
-blocks and decodes the answer.  Passing lanes come out in lane order, so
-witnesses and explored counts match the one-at-a-time search.  Without
-numpy the whole search runs on the SCC pass.
-
-Before either check, a coloring that strands a leaf is rejected: if x has
-a single edge or arc e, to y, and every other edge leaving y has e's color,
-then a walk from x must leave y along a color other than e's and cannot,
-so with n >= 3 some vertex is unreachable from x.  This follows from the
-definition of a walk alone.
+Each level splits the edges into a prefix and a suffix and checks one
+block per canonical prefix: its canonical suffixes, one lane each, in
+lexicographic order.  A lane owns a field of n + 1 bits, n data bits and a
+guard bit, and one Python int per (vertex, last color) state packs the
+fields of every lane: the block kernel is a bit-parallel fixpoint over the
+arcs, seeded with the empty walk, at one AND, one OR and one compare per
+arc and color per sweep, over every lane and every source at once.  Lanes
+that strand a leaf (see _dead_ends) lose their seeds first, and a block
+whose lanes all do skips the kernel.  Passing lanes come out in lane
+order, so witnesses and explored counts follow the canonical order.  The
+search reads nothing from the verifiers, which re-check each witness.
 
 Each level is one generator, _level, that yields its walk-passing colorings
 in order; _solve chains the levels, exact_pw, exact_pp and exact_directed
@@ -40,22 +33,10 @@ from itertools import chain, combinations, product
 from operator import or_
 
 from .graphs import Digraph, EdgeColoring, Graph
-from .verify import (_first_failure, _first_path_failure, verify_all_pairs,
-                     verify_all_pairs_directed)
-
-try:
-    import numpy as _np
-except ImportError:        # pragma: no cover - exercised in a subprocess test
-    _np = None
+from .verify import _first_path_failure, verify_all_pairs, verify_all_pairs_directed
 
 
 PATH_VERTEX_LIMIT = 10
-# Colorings each search checks one at a time before batching: one block of
-# the rest of a level, leaf filter included, costs as much as about 11
-# (k = 2) to 14 (k = 3) of those checks, median 13, on 6-vertex graphs
-# (2-vCPU x86 VM).  Still, 32 lost on the many tiny searches, most of which
-# pass within the head: on sweep-small their slowest calls took 17 % longer.
-_HEAD = 64
 _LANES = 1024       # most colorings in one block
 
 
@@ -128,196 +109,136 @@ def _level(k, pairs, nbrs, dead, before):
     """Yield ExactResult(k, witness, before + explored) for each canonical
     coloring of level k that passes the all-pairs walk check, in canonical
     order, and return the level's count of colorings.  ``nbrs`` is the
-    _neighbor_table of ``pairs`` and ``dead`` its _dead_ends table.  The
-    first _HEAD candidates go one at a time through verify's SCC pass; the
-    rest of the level goes through _search_blocks.
+    _neighbor_table of ``pairs`` and ``dead`` its _dead_ends table.
 
-    A candidate that strands a leaf fails without the SCC pass, and still
-    counts as explored: a walk from x, whose only edge or arc e runs to y,
-    enters y along e and must leave y along a color other than e's, so if
-    every other edge leaving y has e's color it reaches only x and y, and
-    n >= 3.  The colored adjacency is built once per level; before each SCC
-    pass only the entries of the edges changed since the last one are
-    rewritten."""
-    m = len(pairs)
-    colors = [1] * m
-    maxp = [1] * m
-    adj = [[] for _ in nbrs]
-    slots = [[] for _ in colors]    # slots[e]: (row, position, head) of e's entries
-    for row, out in zip(nbrs, adj):
-        for y, e in row:
-            slots[e].append((out, len(out), y))
-            out.append((y, colors[e]))
-    stale = m                       # the entries of edges from here on are stale
+    The last s edges are the suffix, with k ** s <= _LANES (the first edge
+    is always in the prefix).  Each canonical prefix, in lexicographic
+    order, makes one block: its canonical suffixes, one lane each, in
+    lexicographic order.  _live drops the lanes that strand a leaf, and
+    _block_ok checks the rest at once."""
+    m, n = len(pairs), len(nbrs)
+    s = 0
+    while s < m - 1 and k ** (s + 1) <= _LANES:
+        s += 1
+    prefix, pmax = [1] * (m - s), [1] * (m - s)
     explored = 0
     while True:
-        explored += 1
-        if not _strands_leaf(dead, colors):
-            for e in range(stale, m):
-                c = colors[e]
-                for out, j, y in slots[e]:
-                    out[j] = (y, c)
-            stale = m
-            if _first_failure(adj, k) is None:
-                yield ExactResult(k, EdgeColoring(k, dict(zip(pairs, colors))),
-                                  before + explored)
-        low = _advance_py(colors, maxp, k)
-        if not low:
+        rows, tail, solid = _suffixes(s, k, pmax[-1], n)
+        picks = [solid[c - 1] for c in prefix]
+        picks += tail
+        live = _live(picks, dead, solid[0][0])
+        if live:
+            for lane in _block_ok(k, nbrs, picks, live):
+                witness = dict(zip(pairs, prefix + list(rows[lane])))
+                yield ExactResult(k, EdgeColoring(k, witness), before + explored + lane + 1)
+        explored += len(rows)
+        if not _advance_py(prefix, pmax, k):
             return explored
-        if low < stale:
-            stale = low
-        if explored == _HEAD and _np is not None and len(nbrs) < 64:
-            return explored + (yield from _search_blocks(
-                k, pairs, nbrs, dead, colors, maxp, before + explored))
+
+
+@lru_cache(maxsize=256)
+def _suffixes(s, k, top, n):
+    """(rows, picks, solid) for the canonical color sequences of length s
+    that may follow a prefix whose largest color is ``top``.  ``rows`` lists
+    them in lexicographic order, and row j is lane j, the field of bits
+    j (n + 1) to j (n + 1) + n: n data bits, then a guard bit.  picks[i][c]
+    has every data bit of lane j set when rows[j][i] = c + 1.  solid[c] is
+    the picks of an edge that has color c + 1 in every lane, so solid[0][0]
+    has every data bit of every lane set (read-only)."""
+    if s == 0:
+        rows, picks, ones = [()], [], (1 << n) - 1
+    else:
+        rows, picks, ones, shift = [], [[0] * k for _ in range(s)], 0, 0
+        for c in range(1, min(top + 1, k) + 1):
+            sub_rows, sub_picks, sub_solid = _suffixes(s - 1, k, max(top, c), n)
+            sub_ones = sub_solid[0][0]
+            picks[0][c - 1] = sub_ones << shift
+            for row, sub in zip(picks[1:], sub_picks):
+                for d, pick in enumerate(sub):
+                    row[d] |= pick << shift
+            rows += [(c,) + row for row in sub_rows]
+            ones |= sub_ones << shift
+            shift += len(sub_rows) * (n + 1)
+    solid = tuple((0,) * c + (ones,) + (0,) * (k - 1 - c) for c in range(k))
+    return tuple(rows), tuple(map(tuple, picks)), solid
 
 
 def _dead_ends(nbrs):
     """(e, others) for each vertex x whose only entry in ``nbrs`` is (y, e):
     a leaf, or a vertex of out-degree 1.  ``others`` lists the other edges
-    or arcs leaving y.  A coloring that gives all of them e's color fails
-    when n >= 3 (see _level), so the table is empty when n < 3."""
+    or arcs leaving y.
+
+    A coloring that gives all of them e's color strands x: a walk from x
+    enters y along e and must leave y along a color other than e's, so it
+    reaches only x and y.  It fails when n >= 3, so the table is empty
+    when n < 3.  This follows from the definition of a walk alone."""
     if len(nbrs) < 3:
         return []
     return [(e, [f for _, f in nbrs[y] if f != e])
             for row in nbrs if len(row) == 1 for y, e in row]
 
 
-def _strands_leaf(dead, colors) -> bool:
-    """Does some entry of the _dead_ends table fail under colors?"""
+def _live(picks, dead, ones):
+    """The data bits of the lanes in ``ones`` that strand no leaf of the
+    _dead_ends table ``dead``, under the picks of _suffixes."""
+    live = ones
     for e, others in dead:
-        c = colors[e]
-        for f in others:
-            if colors[f] != c:
-                break
-        else:
-            return True
-    return False
+        for c, stranded in enumerate(picks[e]):
+            for f in others:
+                stranded &= picks[f][c]
+            live &= ~stranded
+    return live
 
 
-def _live_lanes(dead, lanes):
-    """Indices of the rows of ``lanes`` that _strands_leaf passes."""
-    live = _np.ones(len(lanes), dtype=bool)
-    for e, others in dead:
-        live &= (lanes[:, others] != lanes[:, e, None]).any(axis=1)
-    return _np.flatnonzero(live)
+def _block_ok(k, nbrs, picks, live):
+    """The all-pairs walk check on every lane of a block at once: the lanes
+    whose data bits are set in ``live``, each a coloring of the edges of
+    ``nbrs`` given by ``picks`` (see _suffixes).  Yields the passing lanes
+    in increasing order.
 
-
-def _search_blocks(k, pairs, nbrs, dead, colors, maxp, before):
-    """_level from ``colors`` on, in numpy blocks: yield one ExactResult per
-    passing lane, in lane order, and return the count of colorings.
-    ``before`` counts the colorings ahead of ``colors``; only the lanes that
-    strand no leaf reach the kernel."""
-    m = len(colors)
-    s = 0
-    while s < m - 1 and k ** (s + 1) <= _LANES:
-        s += 1
-    p = m - s
-    table = _suffix_table(s, k, maxp[p - 1])
-    start = int(_np.flatnonzero((table == colors[p:]).all(axis=1))[0])
-    explored = 0
-    for lanes in _blocks(k, s, colors[:p], maxp[:p], start):
-        live = _live_lanes(dead, lanes)
-        if len(live):
-            for lane in live[_block_ok(k, nbrs, lanes[live])].tolist():
-                yield ExactResult(k, EdgeColoring(k, dict(zip(pairs, lanes[lane].tolist()))),
-                                  before + explored + lane + 1)
-        explored += len(lanes)
-    return explored
-
-
-@lru_cache(maxsize=64)
-def _suffix_table(s, k, top):
-    """Every color sequence of length s that can follow a canonical prefix
-    whose largest color is ``top``, in lexicographic order (read-only)."""
-    rows = _np.zeros((1, 0), dtype=_np.min_scalar_type(k))
-    run = _np.array([top])
-    palette = _np.arange(1, k + 1, dtype=rows.dtype)
-    for _ in range(s):
-        r, c = _np.nonzero(palette <= _np.minimum(run + 1, k)[:, None])
-        rows = _np.column_stack((rows[r], palette[c]))
-        run = _np.maximum(run[r], palette[c])
-    rows.flags.writeable = False
-    return rows
-
-
-def _blocks(k, s, prefix, pmax, start):
-    """Yield the level's canonical colorings from prefix + table[start] on,
-    in lexicographic order, as arrays of at most _LANES rows: each prefix of
-    length m - s in turn, times the suffixes its running maximum allows.
-    k ** s <= _LANES, so one prefix's suffixes always fit in a block."""
-    heads, tails, size = [], [], 0
-    tail = _suffix_table(s, k, pmax[-1])[start:]
-    while True:
-        if size + len(tail) > _LANES:
-            yield _assemble(heads, tails)
-            heads, tails, size = [], [], 0
-        heads.append(prefix[:])
-        tails.append(tail)
-        size += len(tail)
-        if not _advance_py(prefix, pmax, k):
-            yield _assemble(heads, tails)
-            return
-        tail = _suffix_table(s, k, pmax[-1])
-
-
-def _assemble(heads, tails):
-    left = _np.repeat(_np.array(heads, dtype=tails[0].dtype), [len(t) for t in tails], axis=0)
-    return _np.hstack((left, _np.concatenate(tails)))
-
-
-def _block_ok(k, nbrs, lanes):
-    """The all-pairs walk check on every row of ``lanes`` (one coloring of
-    the edges of ``nbrs`` per row) at once; returns one bool per row.
-
-    Each lane owns a field of the smallest little-endian width that holds n
-    bits, and one Python int per (vertex v, color c) packs the fields of
-    all lanes: bit u of lane i's field says that source u reaches v by a
-    walk ending in color c + 1, or u = v.  The empty walk seeds bit v into
-    every field of v, since it may leave v along any color.
+    One Python int per (vertex v, color c) packs the fields of all lanes:
+    bit u of lane i's field says that source u reaches v by a walk ending
+    in color c + 1, or u = v.  The empty walk seeds bit v into every live
+    field of v, since it may leave v along any color; a lane outside
+    ``live`` has no seed, so it never fills.
 
     Each sweep visits the tails a in vertex order, skipping those whose
     ints are unchanged since their last visit.  avail[c], the sources whose
     walks may leave a along color c + 1, is the seed alone at k = 1, the
     other color's int at k = 2 and the OR of the other colors' ints at
-    k >= 3.  Each arc a -> b of edge e then costs, per color c that e takes
-    in some lane, one AND with the pick of (e, c), whose fields are all
-    ones in the lanes where e has color c + 1, one OR into b's int and one
-    compare.  Sweeps repeat until no int changes; the answer is the least
+    k >= 3.  Each arc a -> b of edge e then costs, per color c, one AND
+    with picks[e][c], one OR into b's int and one compare.  Sweeps repeat until no int changes; the answer is the least
     fixpoint, so the order sets only the number of sweeps.  A lane passes
-    when every field of the AND over v of v's OR over colors is full."""
+    when all n data bits of the AND over v of v's OR over colors are set:
+    adding 1 to its field then carries into the guard bit."""
     n = len(nbrs)
-    width = next(w for w in (1, 2, 4, 8) if 8 * w >= n)
-    field = _np.dtype(f"<u{width}")
-    colored = (_np.ascontiguousarray(lanes.T)[:, None, :]
-               == _np.arange(1, k + 1, dtype=lanes.dtype)[:, None])
-    data = (colored.astype(field) * field.type(256 ** width - 1)).tobytes()
-    step = len(lanes) * width
-    ints = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
-    picks = [[(c, pick) for c, pick in enumerate(ints[i:i + k]) if pick]
-             for i in range(0, len(ints), k)]
-    ones = int.from_bytes(_np.ones(len(lanes), field).tobytes(), "little")
-    seeds = [ones << v for v in range(n)]
+    low = live & ~(live << 1)
+    seeds = [low << v for v in range(n)]
     reach = [[seed] * k for seed in seeds]
-    tails = [[(reach[b], b, picks[e]) for b, e in row] for row in nbrs]
+    colors = range(k)
     dirty = [True] * n
     while True in dirty:
-        for a, arcs in enumerate(tails):
+        for a, row in enumerate(nbrs):
             if not dirty[a]:
                 continue
             dirty[a] = False
             avail = _others(k, reach[a], seeds[a])
-            for target, b, steps in arcs:
-                for c, pick in steps:
+            for b, e in row:
+                target, pick = reach[b], picks[e]
+                for c in colors:
                     old = target[c]
-                    new = old | (avail[c] & pick)
+                    new = old | (avail[c] & pick[c])
                     if new != old:
                         target[c] = new
                         dirty[b] = True
-    cover = -1
+    cover = live
     for states in reach:
         cover &= reduce(or_, states)
-    fields = _np.frombuffer(cover.to_bytes(step, "little"), field)
-    return fields == (1 << n) - 1
+    bits = bin((cover + low) & (low << n))[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i // (n + 1)
+        i = bits.find("1", i + 1)
 
 
 def _others(k, ints, seed):

@@ -6,7 +6,6 @@ import sys
 from itertools import product
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import properwalk.exact as exact
@@ -17,6 +16,7 @@ from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
                         exact_pp, exact_pw, exact_pw_pp, labeled_trees,
                         path_graph, star,
                         theta, verify_all_pairs, verify_all_pairs_directed)
+from properwalk.verify import _first_failure, _first_path_failure
 
 
 def unpruned_minimum(g, max_k):
@@ -282,19 +282,46 @@ def spider(legs, length):
     return Graph(nxt, edges)
 
 
+def pack(n, k, rows):
+    """(picks, live) for a block whose lane j colors the edges as rows[j]
+    does, in the layout of exact._suffixes: lane j owns bits j (n + 1) to
+    j (n + 1) + n, n data bits and a guard bit."""
+    data = (1 << n) - 1
+    picks = [[0] * k for _ in rows[0]]
+    for j, row in enumerate(rows):
+        for e, c in enumerate(row):
+            picks[e][c - 1] |= data << j * (n + 1)
+    return picks, sum(data << j * (n + 1) for j in range(len(rows)))
+
+
+def unpack(n, picks, live):
+    """{lane: its row of colors} for the lanes of ``live``: pack's inverse."""
+    lanes = [j for j in range(live.bit_length() // (n + 1) + 1) if live >> j * (n + 1) & 1]
+    return {j: tuple(next(c + 1 for c, pick in enumerate(row) if pick >> j * (n + 1) & 1)
+                     for row in picks) for j in lanes}
+
+
+def walk_passing(nbrs, k, rows):
+    """The indices of the rows that verify's SCC pass accepts, one at a time."""
+    return [j for j, s in enumerate(rows)
+            if _first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None]
+
+
 class TestBlockKernel:
-    """The numpy block kernel against the per-coloring check, verify's SCC
-    pass, lane by lane."""
+    """The block kernel against the per-coloring check, verify's SCC pass,
+    lane by lane."""
 
     @staticmethod
     def assert_lanes_match(n, pairs, bidirectional, ks=(1, 2, 3)):
         nbrs = exact._neighbor_table(n, pairs, bidirectional)
         for k in ks:
             seqs = list(canonical_colorings(len(pairs), k))
-            lanes = np.array(seqs, dtype=np.uint8).reshape(len(seqs), len(pairs))
-            want = [exact._first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None
-                    for s in seqs]
-            assert exact._block_ok(k, nbrs, lanes).tolist() == want, (pairs, k)
+            picks, live = pack(n, k, seqs)
+            want = walk_passing(nbrs, k, seqs)
+            assert list(exact._block_ok(k, nbrs, picks, live)) == want, (pairs, k)
+            # a lane left out of live has no seed, so it never passes
+            odd = sum((1 << n) - 1 << j * (n + 1) for j in range(1, len(seqs), 2))
+            assert list(exact._block_ok(k, nbrs, picks, live & ~odd)) == [j for j in want if j % 2 == 0]
 
     def test_every_coloring_of_small_graphs(self):
         for n in range(1, 6):
@@ -314,46 +341,45 @@ class TestBlockKernel:
             self.assert_lanes_match(d.n, d.arcs, False, ks=(4,))
 
     def test_blocks_follow_canonical_order(self, monkeypatch):
-        # fake checks that pass chosen colorings, several per 16-lane block,
-        # across block and prefix boundaries and on both sides of _HEAD: the
-        # level must yield exactly those, in order, at their positions, with
-        # the numpy blocks and without them
+        # a fake kernel that passes chosen colorings, several per block of
+        # at most 16 lanes, across block boundaries: the level must yield
+        # exactly those, in order, at their positions
         monkeypatch.setattr(exact, "_LANES", 16)
-        for numpy in (np, None):
-            monkeypatch.setattr(exact, "_np", numpy)
+        for m, k in ((8, 2), (9, 2), (6, 3), (7, 3), (6, 4)):
+            seqs = list(canonical_colorings(m, k))
+            chosen = sorted({p for p in range(len(seqs)) if p % 5 == 0 or p % 7 == 3}
+                            | {len(seqs) - 1})
+            passing = {seqs[p] for p in chosen}
             blocks = []
-            for m, k in ((8, 2), (9, 2), (6, 3), (7, 3), (6, 4)):
-                seqs = list(canonical_colorings(m, k))
-                chosen = sorted({p for p in range(len(seqs)) if p % 5 == 0 or p % 7 == 3}
-                                | {exact._HEAD - 1, exact._HEAD, len(seqs) - 1})
-                passing = {seqs[p] for p in chosen}
-                # vertex 0 carries every edge, so its colored row spells the coloring
-                nbrs = [[(1, e) for e in range(m)], []]
-                pairs = [(0, e + 1) for e in range(m)]
-                monkeypatch.setattr(exact, "_first_failure", lambda adj, k:
-                                    None if tuple(c for _, c in adj[0]) in passing else (0, 1))
-                monkeypatch.setattr(exact, "_block_ok", lambda k, nbrs, lanes: blocks.append(1)
-                                    or np.array([tuple(row) in passing for row in lanes.tolist()]))
-                stream, count = drain(exact._level(k, pairs, nbrs, [], 100))
-                assert count == len(seqs)
-                assert [(r.k, r.explored, tuple(c for _, c in sorted(r.witness.assignment.items())))
-                        for r in stream] == [(k, 100 + p + 1, seqs[p]) for p in chosen]
-            assert bool(blocks) == (numpy is not None)
+
+            def fake(k, nbrs, picks, live):
+                rows = unpack(2, picks, live)
+                blocks.append((len(rows), [j for j, row in rows.items() if row in passing]))
+                return blocks[-1][1]
+            monkeypatch.setattr(exact, "_block_ok", fake)
+            # the fake reads each coloring off the picks, so only n = 2 matters
+            pairs = [(0, e + 1) for e in range(m)]
+            stream, count = drain(exact._level(k, pairs, [[], []], [], 100))
+            assert count == len(seqs) == sum(size for size, _ in blocks) and len(blocks) > 2
+            assert any(lanes[:1] == [0] for _, lanes in blocks[1:])
+            assert any(lanes[-1:] == [size - 1] for size, lanes in blocks[:-1])
+            assert [(r.k, r.explored, tuple(r.witness.assignment[e] for e in pairs))
+                    for r in stream] == [(k, 100 + p + 1, seqs[p]) for p in chosen]
 
 
 class TestKernelFieldWidths:
-    """The block kernel against verify's SCC pass, lane by lane, where the
-    number of vertices changes the width of a lane's field."""
+    """The block kernel against verify's SCC pass, lane by lane, on graphs
+    and digraphs of up to 100 vertices."""
 
     @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63])
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63, 64, 65, 100])
     def test_boundaries(self, n, directed):
-        # n = 8/9, 16/17 and 32/33 straddle the 1-, 2- and 4-byte lane fields
-        # and 63 nearly fills the 8-byte one; 37 lanes are not a multiple of 8.
-        # The base is a path 0 - 1 - ... - n-1, both arcs of each step on a
-        # digraph, plus n // 2 random chords; a lane that alternates colors
-        # 1 and 2 along the path passes whatever the chords get, and the lane
-        # of all ones fails.
+        # a lane's field has n + 1 bits, so fields cross the 30-bit digits of
+        # Python ints at every offset; 37 lanes, and n from 64 on, where an
+        # 8-byte field could no longer hold a lane.  The base is a path
+        # 0 - 1 - ... - n-1, both arcs of each step on a digraph, plus n // 2
+        # random chords; a lane that alternates colors 1 and 2 along the
+        # path passes whatever the chords get, and the lane of all ones fails.
         rng = random.Random(n)
         path = [(i, i + 1) for i in range(n - 1)]
         chords = rng.sample([(u, v) for u in range(n) for v in range(u + 2, n)], n // 2)
@@ -371,16 +397,13 @@ class TestKernelFieldWidths:
                 else:
                     rows.append([rng.randint(1, k) for _ in path] + chord_colors)
             rng.shuffle(rows)
-            lanes = np.array(rows, dtype=np.uint8)
-            want = [exact._first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None
-                    for s in rows]
-            assert exact._block_ok(k, nbrs, lanes).tolist() == want, k
-            assert (True in want) == (k >= 2) and False in want
+            want = walk_passing(nbrs, k, rows)
+            assert list(exact._block_ok(k, nbrs, *pack(n, k, rows))) == want, k
+            assert bool(want) == (k >= 2) and len(want) < len(rows)
         # with one color only a complete graph or digraph passes
         pairs = [(u, v) for u in range(n) for v in range(n) if u < v or directed and u != v]
         nbrs = exact._neighbor_table(n, pairs, not directed)
-        lanes = np.ones((5, len(pairs)), dtype=np.uint8)
-        assert exact._block_ok(1, nbrs, lanes).tolist() == [True] * 5
+        assert list(exact._block_ok(1, nbrs, *pack(n, 1, [[1] * len(pairs)] * 5))) == [0, 1, 2, 3, 4]
 
 
 def drain(gen):
@@ -394,8 +417,8 @@ def drain(gen):
 
 
 class TestDeadEnds:
-    """The leaf rule may reject only colorings that verify's SCC pass also
-    rejects, and the lane filter must agree with it row by row."""
+    """The packed leaf rule may drop only lanes that verify's SCC pass
+    rejects."""
 
     @staticmethod
     def fired(n, pairs, bidirectional):
@@ -404,15 +427,12 @@ class TestDeadEnds:
         count = 0
         for k in (1, 2, 3):
             seqs = list(canonical_colorings(len(pairs), k))
-            stranded = [exact._strands_leaf(dead, s) for s in seqs]
-            for s, hit in zip(seqs, stranded):
-                if hit:
-                    adj = [[(y, s[e]) for y, e in row] for row in nbrs]
-                    assert exact._first_failure(adj, k) is not None, (pairs, s)
-            lanes = np.array(seqs, dtype=np.uint8).reshape(len(seqs), len(pairs))
-            live = [i for i, hit in enumerate(stranded) if not hit]
-            assert exact._live_lanes(dead, lanes).tolist() == live, (pairs, k)
-            count += sum(stranded)
+            picks, ones = pack(n, k, seqs)
+            live = exact._live(picks, dead, ones)
+            assert live & ~ones == 0
+            stranded = [s for j, s in enumerate(seqs) if not live >> j * (n + 1) & 1]
+            assert walk_passing(nbrs, k, stranded) == [], (pairs, k)
+            count += len(stranded)
         return count
 
     def test_sound_on_every_small_coloring(self):
@@ -434,6 +454,29 @@ def fingerprint(res):
     return res.k, res.explored, sorted(res.witness.assignment.items())
 
 
+def one_at_a_time(g, pairs, bidirectional, max_k, accept):
+    """The exact search without blocks or leaf rule: every canonical
+    coloring in turn through verify's SCC pass, then ``accept``; explored
+    numbers the colorings tried."""
+    nbrs = exact._neighbor_table(g.n, pairs, bidirectional)
+    explored = 0
+    for k in range(1, max_k + 1):
+        for colors in canonical_colorings(len(pairs), k):
+            explored += 1
+            col = EdgeColoring(k, dict(zip(pairs, colors)))
+            if walk_passing(nbrs, k, [colors]) and accept(g, col):
+                return k, explored, sorted(col.assignment.items())
+    return None
+
+
+def walks(g, col):
+    return True
+
+
+def paths(g, col):
+    return _first_path_failure(g, col) is None
+
+
 CWF_REFUTED = [cycle_with_feet(3, legs) for legs in ([3, 3, 2], [3, 3, 3], [4, 3, 3])]
 PP_RESUMED = [Graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)]),
               Graph(8, [(0, 7), (1, 6), (2, 3), (2, 6), (2, 7), (3, 7), (4, 6), (5, 6), (5, 7)]),
@@ -444,97 +487,69 @@ DIRECTED_RESUMED = Digraph(5, [(0, 3), (1, 0), (2, 3), (2, 4), (3, 0), (3, 1), (
 
 
 class TestBlockSearchMatchesPython:
-    """Solvers with the numpy blocks against the same solvers with the
-    one-at-a-time SCC-pass search forced, on searches that run past the
-    head."""
+    """Solvers against a one-at-a-time search of the same canonical order
+    through verify's SCC pass: the same k, witness and explored count."""
 
-    @pytest.fixture
-    def both(self, monkeypatch):
-        calls = []
-        block_ok = exact._block_ok
-        monkeypatch.setattr(exact, "_block_ok", lambda *args: calls.append(1) or block_ok(*args))
-
-        def run(solve):
-            calls.clear()
-            batched = solve()
-            assert calls, "the search never reached the numpy blocks"
-            with monkeypatch.context() as py:
-                py.setattr(exact, "_np", None)
-                reference = solve()
-            return batched, reference
-        return run
-
-    def test_refutations_past_the_head(self, both):
-        # level 2 is refuted in full: compare the whole level's search
+    def test_refutations_in_full(self):
+        # level 2 is refuted in full, over several blocks
         for g in CWF_REFUTED:
             assert g.m in (11, 12, 13)
+            nbrs = exact._neighbor_table(g.n, g.edges, True)
+            assert drain(exact._level(2, g.edges, nbrs, exact._dead_ends(nbrs), 0)) \
+                == ([], 2 ** (g.m - 1))
+            assert one_at_a_time(g, g.edges, True, 2, walks) is None
+        g = CWF_REFUTED[0]
+        res = exact_pw(g, max_k=3)
+        assert res.k == 3 and fingerprint(res) == one_at_a_time(g, g.edges, True, 3, walks)
 
-            def level2(g=g):
-                nbrs = exact._neighbor_table(g.n, g.edges, True)
-                return drain(exact._level(2, g.edges, nbrs, exact._dead_ends(nbrs), 0))
-            batched, reference = both(level2)
-            assert batched == reference == ([], 2 ** (g.m - 1))
-        batched, reference = both(lambda: exact_pw(CWF_REFUTED[0], max_k=3))
-        assert batched.k == 3 and fingerprint(batched) == fingerprint(reference)
-
-    def test_spider(self, both):
+    def test_spider(self):
         g = spider(4, 2)
         assert g.m == 8
-        batched, reference = both(lambda: exact_pw(g, max_k=4))
-        assert batched.k == 4 and fingerprint(batched) == fingerprint(reference)
+        res = exact_pw(g, max_k=4)
+        assert res.k == 4 and fingerprint(res) == one_at_a_time(g, g.edges, True, 4, walks)
 
-    def test_pp_resumes_after_a_path_failure(self, both):
+    def test_pp_resumes_after_a_path_failure(self):
         for g in PP_RESUMED:
-            batched, reference = both(lambda g=g: exact_pp(g, max_k=3))
-            assert fingerprint(batched) == fingerprint(reference)
+            assert fingerprint(exact_pp(g, max_k=3)) == one_at_a_time(g, g.edges, True, 3, paths)
 
-    def test_directed_walk_and_path(self, both):
+    def test_directed_walk_and_path(self):
         # in path mode the first walk-passing coloring fails the path check
-        for mode in ("walk", "path"):
-            batched, reference = both(lambda: exact_directed(DIRECTED_RESUMED, mode))
-            assert fingerprint(batched) == fingerprint(reference)
+        d = DIRECTED_RESUMED
+        for mode, accept in (("walk", walks), ("path", paths)):
+            assert fingerprint(exact_directed(d, mode)) == one_at_a_time(d, d.arcs, False, 3, accept)
 
-    def test_blocks_with_every_lane_stranded(self, both, monkeypatch):
-        # with 8 lanes a block of spider(3, 3) holds several prefixes,
-        # and a prefix that colors a leaf's edge like the other edge at its
+    def test_blocks_with_every_lane_stranded(self, monkeypatch):
+        # with 8 lanes a level of spider(3, 3) spans many prefixes, and a
+        # prefix that colors a leaf's edge like the other edge at its
         # neighbour strands the leaf in every lane; such blocks skip the
         # kernel, and in others stranded lanes come before the passing one
         monkeypatch.setattr(exact, "_LANES", 8)
-        sizes = []
-        live_lanes = exact._live_lanes
-
-        def recorded(dead, lanes):
-            live = live_lanes(dead, lanes)
-            sizes.append(len(live))
-            return live
-        monkeypatch.setattr(exact, "_live_lanes", recorded)
+        lives, kernel = [], []
+        live_of, block_ok = exact._live, exact._block_ok
+        monkeypatch.setattr(exact, "_live", lambda picks, dead, ones:
+                            lives.append((live_of(picks, dead, ones), ones)) or lives[-1][0])
+        monkeypatch.setattr(exact, "_block_ok", lambda *args: kernel.append(1) or block_ok(*args))
         g = spider(3, 3)
-        batched, reference = both(lambda: exact_pw(g, max_k=3))
-        assert 0 in sizes
-        assert batched.k == 3 and fingerprint(batched) == fingerprint(reference)
+        res = exact_pw(g, max_k=3)
+        assert res.k == 3 and fingerprint(res) == one_at_a_time(g, g.edges, True, 3, walks)
+        assert any(live == 0 for live, _ in lives)
+        assert any(0 < live < ones for live, ones in lives)
+        assert len(kernel) == sum(live > 0 for live, _ in lives)
 
 
 KERNEL_LIES = """
-import numpy
 import properwalk.exact as exact
-from properwalk import cycle, cycle_with_feet
+from properwalk import cycle, directed_cycle
 assert not __debug__, "asserts are on"
-exact._first_failure = lambda *args: None  # a head that accepts everything
-try:
-    exact.exact_pw(cycle(5), max_k=2)
-except AssertionError as exc:
-    print("raised:", exc)
-else:
-    print("returned")
-# the Python head rejects everything and the block kernel accepts every lane
-exact._first_failure = lambda *args: (0, 1)
-exact._block_ok = lambda k, nbrs, lanes: numpy.ones(len(lanes), dtype=bool)
-try:
-    exact.exact_pw(cycle_with_feet(3, [3, 3, 2]), max_k=2)
-except AssertionError as exc:
-    print("raised:", exc)
-else:
-    print("returned")
+exact._block_ok = lambda k, nbrs, picks, live: [0]  # passes each block's first lane
+for search in (lambda: exact.exact_pw(cycle(5), max_k=2),
+               lambda: exact.exact_directed(directed_cycle(3), "walk")):
+    try:
+        search()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        print("returned")
 """
 
 
@@ -549,28 +564,18 @@ def run_snippet(code, *flags):
 
 def test_kernel_check_survives_python_O():
     """The verifier's veto on a kernel witness is an explicit raise, so it
-    still guards exact_pw when python -O strips asserts."""
+    still guards exact_pw and exact_directed when python -O strips asserts."""
     lines = run_snippet(KERNEL_LIES, "-O").splitlines()
     assert len(lines) == 2
     for line in lines:
         assert line.startswith("raised: kernel accepted a coloring the verifier rejects")
 
 
-WITHOUT_NUMPY = """
-import sys
-sys.modules["numpy"] = None
-import properwalk.exact as exact
-from properwalk import cycle_with_feet
-assert exact._np is None
-res = exact.exact_pw(cycle_with_feet(3, [3, 3, 2]), max_k=3)
-print(repr((res.k, res.explored, sorted(res.witness.assignment.items()))))
-"""
-
-
-def test_without_numpy_matches_numpy():
-    res = exact_pw(cycle_with_feet(3, [3, 3, 2]), max_k=3)
-    assert res.explored > exact._HEAD
-    assert run_snippet(WITHOUT_NUMPY).strip() == repr(fingerprint(res))
+def test_import_leaves_numpy_out():
+    """The package, its exact search and its CLI run on the standard
+    library alone."""
+    code = "import sys, properwalk, properwalk.cli; print(sorted({'numpy'} & set(sys.modules)))"
+    assert run_snippet(code).strip() == "[]"
 
 
 def test_oracle_imports_no_construction_code():

@@ -1,10 +1,11 @@
 """Property tests against independent oracles (test-only), on random
 connected graphs drawn by hypothesis: networkx for the decompositions and
 disjoint paths, one witness BFS per vertex pair for the all-pairs walk
-checks, and verify's SCC pass for the exact search's numpy block kernel."""
+checks, and verify's SCC pass for the exact search's block kernel."""
+
+import random
 
 import networkx as nx
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
                         shortest_odd_cycle, two_disjoint_paths, verify_all_pairs,
                         verify_all_pairs_directed, walk_reachable,
                         walk_reachable_directed)
+from test_exact import pack, walk_passing
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -180,21 +182,17 @@ def test_block_kernel_matches_scc_pass(directed, data):
         g = data.draw(connected(max_n=12))
         n, pairs = g.n, g.edges
     k = data.draw(st.integers(2, 4))
-    rows = data.draw(st.integers(1, 300))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    lanes = rng.integers(1, k + 1, size=(rows, len(pairs)), dtype=np.uint8)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [[rng.randint(1, k) for _ in pairs] for _ in range(data.draw(st.integers(1, 300)))]
     nbrs = exact._neighbor_table(n, pairs, not directed)
-    want = [exact._first_failure([[(y, int(s[e])) for y, e in row] for row in nbrs], k) is None
-            for s in lanes]
-    assert exact._block_ok(k, nbrs, lanes).tolist() == want
+    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows))) == walk_passing(nbrs, k, rows)
 
 
 @PROPERTY
 @given(st.booleans(), st.data())
 def test_block_kernel_on_canonical_lanes(directed, data):
     # the rows the search hands the kernel: canonical colorings, here of
-    # random graphs and digraphs with up to 20 vertices, so that lanes of
-    # one and two bytes both occur
+    # random graphs and digraphs with up to 20 vertices
     if directed:
         d = data.draw(strongly_connected(max_n=20))
         n, pairs = d.n, d.arcs
@@ -202,13 +200,10 @@ def test_block_kernel_on_canonical_lanes(directed, data):
         g = data.draw(connected(max_n=20))
         n, pairs = g.n, g.edges
     k = data.draw(st.integers(1, 4))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
     rows = []
-    for row in rng.integers(1, k + 1, size=(data.draw(st.integers(1, 200)), len(pairs))).tolist():
+    for _ in range(data.draw(st.integers(1, 200))):
         first = {}
-        rows.append([first.setdefault(c, len(first) + 1) for c in row])
-    lanes = np.array(rows, dtype=np.uint8).reshape(len(rows), len(pairs))
+        rows.append([first.setdefault(rng.randint(1, k), len(first) + 1) for _ in pairs])
     nbrs = exact._neighbor_table(n, pairs, not directed)
-    want = [exact._first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None
-            for s in rows]
-    assert exact._block_ok(k, nbrs, lanes).tolist() == want
+    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows))) == walk_passing(nbrs, k, rows)

@@ -43,22 +43,22 @@ def test_bench_span_targets_resolve():
             assert "max_k" in inspect.signature(func).parameters, name
 
 
-def test_block_kernel_shares_no_verify_code():
-    """exact._verified re-checks each witness of the block kernel with the
+def test_exact_search_shares_no_verify_code():
+    """exact._verified re-checks each witness of the exact search with the
     public verifier, which is a check only while the two share no code: no
-    name read by _block_ok, or by the exact.py functions it calls, comes
+    name read by _solve, or by the exact.py functions it reaches, comes
     from properwalk.verify."""
     from properwalk import exact, verify
     tree = ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    names, todo = set(), ["_block_ok"]
+    names, todo = set(), ["_solve"]
     while todo:
         for node in ast.walk(defs[todo.pop()]):
             if isinstance(node, ast.Name) and node.id not in names:
                 names.add(node.id)
                 if node.id in defs:
                     todo.append(node.id)
-    assert "_others" in names
+    assert {"_level", "_live", "_block_ok", "_others"} <= names
     shared = sorted(name for name in names if hasattr(exact, name)
                     and (getattr(exact, name) is verify
                          or getattr(getattr(exact, name), "__module__", None) == verify.__name__))
