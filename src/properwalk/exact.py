@@ -207,10 +207,11 @@ def _block_ok(k, nbrs, picks, live):
     walks may leave a along color c + 1, is the seed alone at k = 1, the
     other color's int at k = 2 and the OR of the other colors' ints at
     k >= 3.  Each arc a -> b of edge e then costs, per color c, one AND
-    with picks[e][c], one OR into b's int and one compare.  Sweeps repeat until no int changes; the answer is the least
-    fixpoint, so the order sets only the number of sweeps.  A lane passes
-    when all n data bits of the AND over v of v's OR over colors are set:
-    adding 1 to its field then carries into the guard bit."""
+    with picks[e][c], one OR into b's int and one compare.  Sweeps repeat
+    until no int changes; the answer is the least fixpoint, so the order
+    sets only the number of sweeps.  A lane passes when all n data bits of
+    the AND over v of v's OR over colors are set: adding 1 to its field
+    then carries into the guard bit."""
     n = len(nbrs)
     low = live & ~(live << 1)
     seeds = [low << v for v in range(n)]

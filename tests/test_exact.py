@@ -321,7 +321,8 @@ class TestBlockKernel:
             assert list(exact._block_ok(k, nbrs, picks, live)) == want, (pairs, k)
             # a lane left out of live has no seed, so it never passes
             odd = sum((1 << n) - 1 << j * (n + 1) for j in range(1, len(seqs), 2))
-            assert list(exact._block_ok(k, nbrs, picks, live & ~odd)) == [j for j in want if j % 2 == 0]
+            even = [j for j in want if j % 2 == 0]
+            assert list(exact._block_ok(k, nbrs, picks, live & ~odd)) == even
 
     def test_every_coloring_of_small_graphs(self):
         for n in range(1, 6):
@@ -403,7 +404,8 @@ class TestKernelFieldWidths:
         # with one color only a complete graph or digraph passes
         pairs = [(u, v) for u in range(n) for v in range(n) if u < v or directed and u != v]
         nbrs = exact._neighbor_table(n, pairs, not directed)
-        assert list(exact._block_ok(1, nbrs, *pack(n, 1, [[1] * len(pairs)] * 5))) == [0, 1, 2, 3, 4]
+        rows = [[1] * len(pairs)] * 5
+        assert list(exact._block_ok(1, nbrs, *pack(n, 1, rows))) == [0, 1, 2, 3, 4]
 
 
 def drain(gen):
@@ -516,7 +518,8 @@ class TestBlockSearchMatchesPython:
         # in path mode the first walk-passing coloring fails the path check
         d = DIRECTED_RESUMED
         for mode, accept in (("walk", walks), ("path", paths)):
-            assert fingerprint(exact_directed(d, mode)) == one_at_a_time(d, d.arcs, False, 3, accept)
+            want = one_at_a_time(d, d.arcs, False, 3, accept)
+            assert fingerprint(exact_directed(d, mode)) == want
 
     def test_blocks_with_every_lane_stranded(self, monkeypatch):
         # with 8 lanes a level of spider(3, 3) spans many prefixes, and a
