@@ -111,14 +111,15 @@ def _level(k, pairs, nbrs, dead, before):
     order, and return the level's count of colorings.  ``nbrs`` is the
     _neighbor_table of ``pairs`` and ``dead`` its _dead_ends table.
 
-    The last s edges are the suffix, with k ** s <= _LANES (the first edge
-    is always in the prefix).  Each canonical prefix, in lexicographic
+    The last s edges are the suffix, with max(k, 2) ** s <= _LANES (the
+    first edge is always in the prefix); k = 1 sizes as k = 2, which keeps
+    s, and so _suffixes' recursion, small on graphs with many edges.  Each canonical prefix, in lexicographic
     order, makes one block: its canonical suffixes, one lane each, in
     lexicographic order.  _live drops the lanes that strand a leaf, and
     _block_ok checks the rest at once."""
     m, n = len(pairs), len(nbrs)
     s = 0
-    while s < m - 1 and k ** (s + 1) <= _LANES:
+    while s < m - 1 and max(k, 2) ** (s + 1) <= _LANES:
         s += 1
     prefix, pmax = [1] * (m - s), [1] * (m - s)
     explored = 0

@@ -307,6 +307,13 @@ class TestExact:
         code, _, err = run("exact", gpath, "--budget", "5")
         assert code == 2 and "edges" in err
 
+    def test_many_edges_exit2(self, run, tmp_path):
+        # level 1 runs on all 1025 edges and fails; level 2's budget stops it
+        edges = "".join(f"{u} {v}\n" for u in range(50)
+                        for v in range(u + 1, 50) if (u + v) % 6)
+        code, out, err = run("exact", write(tmp_path, "big.txt", edges))
+        assert code == 2 and out == "" and "level k=2 needs 1025" in err
+
     def test_budget_zero_applied(self, run, tmp_path):
         gpath = write(tmp_path, "c3.txt", "0 1\n1 2\n2 0\n")
         assert run("exact", gpath, "--budget", "2")[0] == 2

@@ -108,6 +108,16 @@ class TestExactPw:
         with pytest.raises(BudgetExceededError):
             exact_pw(g, max_k=2)
 
+    def test_many_edges_level_one(self):
+        # level 1 has one coloring whatever m is; 1225 edges once blew
+        # the recursion limit
+        res = exact_pw(complete(50))
+        assert (res.k, res.explored) == (1, 1)
+        g = Graph(50, [e for e in complete(50).edges if sum(e) % 6])  # 1025 edges
+        with pytest.raises(BudgetExceededError) as err:
+            exact_pw(g)
+        assert err.value.k == 2
+
     def test_budget_override(self):
         g = cycle(6)
         res = exact_pw(g, max_k=2, budgets={2: 6})
@@ -432,6 +442,8 @@ class TestDeadEnds:
             picks, ones = pack(n, k, seqs)
             live = exact._live(picks, dead, ones)
             assert live & ~ones == 0
+            data = (1 << n) - 1
+            assert all(live >> j * (n + 1) & data in (0, data) for j in range(len(seqs)))
             stranded = [s for j, s in enumerate(seqs) if not live >> j * (n + 1) & 1]
             assert walk_passing(nbrs, k, stranded) == [], (pairs, k)
             count += len(stranded)
