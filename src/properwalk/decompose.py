@@ -2,12 +2,14 @@
 and its contraction, bipartitions, odd cycles, disjoint paths.
 
 ``_low_link`` is the one DFS of a graph, a low-link pass (Hopcroft and
-Tarjan 1973); in a simple graph the bridges are exactly the 2-vertex
-blocks.  It also keeps each block's edges as the arcs it traversed them
-along, a strong orientation of every block with at least 3 vertices
-(Robbins 1939), which ``orient.robbins_orientation`` and the two-color
-constructions read.  A ``Decomposition`` bundles one such pass with the
-cores and the one ``_layers`` result; the dispatcher builds one per call and
+Tarjan 1973) that gives the blocks, the bridges, the arcs and the cores.
+In a simple graph the bridges are exactly the 2-vertex blocks, and the
+cores, the 2-edge-connected components, close where no back edge climbs
+out of a DFS subtree.  It keeps each block's edges as the arcs it
+traversed them along, a strong orientation of every block with at least 3
+vertices (Robbins 1939), which ``orient.robbins_orientation`` and the
+two-color constructions read.  A ``Decomposition`` bundles one such pass
+with the one ``_layers`` result; the dispatcher builds one per call and
 passes it to the constructions.  Its bipartition, core contraction and
 shortest odd cycles, per block and of the whole graph, are computed lazily
 and at most once.
@@ -50,31 +52,37 @@ def blocks(g: Graph) -> tuple[frozenset[int], ...]:
 
 def _low_link(g: Graph):
     """The one low-link DFS, from vertex 0 in neighbor order: (``blocks``,
-    each block's edges as the arcs the DFS traversed them along).  Tree edges
-    point away from vertex 0 and back edges toward the ancestor.  The strong
+    each block's edges as the arcs the DFS traversed them along, the vertex
+    sets of the cores in order of their lowest vertex).  Tree edges point
+    away from vertex 0 and back edges toward the ancestor.  The strong
     components of such an orientation are the 2-edge-connected components,
     and a directed walk that leaves a block through a cut vertex must come
     back through it, so every block with at least 3 vertices, and every
-    nontrivial core, is strongly connected under its arcs."""
+    nontrivial core, is strongly connected under its arcs.
+
+    A block closes at a tree arc (parent, v) with low[v] >= disc[parent].
+    A core closes at v when low[v] == disc[v]: no back edge climbs out of
+    v's subtree, so the arc into v is a bridge (or v is vertex 0), and v's
+    core is the subtree less the cores that closed inside it."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
     n = g.n
     if n <= 1:
-        return (), ()
+        return (), (), [frozenset({v}) for v in range(n)]
     disc = [0] * n          # 1-based discovery index, 0 = unvisited
     low = [0] * n
     into = [0] * n          # edge_stack index of the tree arc into each vertex
+    at = [0] * n            # vertex_stack index of each vertex
     disc[0] = low[0] = 1
     counter = 2
     edge_stack: list[tuple[int, int]] = []
+    vertex_stack = [0]
     found: list[tuple[frozenset[int], tuple[tuple[int, int], ...]]] = []
-    stack = [(0, -1, 0)]    # (vertex, parent, index into adjacency)
+    cores: list[frozenset[int]] = []
+    stack = [(0, -1, iter(g.neighbors(0)))]     # (vertex, parent, its neighbors left)
     while stack:
-        v, parent, i = stack.pop()
-        adj = g.neighbors(v)
-        if i < len(adj):
-            stack.append((v, parent, i + 1))
-            w = adj[i]
+        v, parent, rest = stack[-1]
+        for w in rest:
             if w == parent:
                 continue
             if disc[w]:
@@ -85,10 +93,16 @@ def _low_link(g: Graph):
             else:
                 disc[w] = low[w] = counter
                 counter += 1
-                into[w] = len(edge_stack)
+                into[w], at[w] = len(edge_stack), len(vertex_stack)
                 edge_stack.append((v, w))
-                stack.append((w, v, 0))
+                vertex_stack.append(w)
+                stack.append((w, v, iter(g.neighbors(w))))
+                break
         else:
+            stack.pop()
+            if low[v] == disc[v]:
+                cores.append(frozenset(vertex_stack[at[v]:]))
+                del vertex_stack[at[v]:]
             if parent >= 0:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
@@ -100,7 +114,8 @@ def _low_link(g: Graph):
                     del edge_stack[i:]
                     found.append((frozenset(chain.from_iterable(arcs)), arcs))
     found.sort(key=lambda f: (min(f[0]), sorted(f[0])))
-    return tuple(f[0] for f in found), tuple(f[1] for f in found)
+    cores.sort(key=min)
+    return tuple(f[0] for f in found), tuple(f[1] for f in found), cores
 
 
 @dataclass(frozen=True)
@@ -409,9 +424,12 @@ def _disjoint_odd_cycles(g: Graph, dec: Decomposition):
         (_, c1), (_, c2) = found
     else:
         # Otherwise remove a shortest odd cycle and search the remainder.
-        c1 = dec.odd_cycle
-        if c1 is None:
+        # With one odd block it is the block's cycle: the other blocks are
+        # bipartite, so a walk that leaves the block comes back at the same
+        # parity, and the whole graph's search would find the same cycle.
+        if not found:
             return None
+        c1 = found[0][1]
         used = _cycle_edges(c1)
         c2 = shortest_odd_cycle(Graph(g.n, [e for e in g.edges if e not in used]))
         if c2 is None:
@@ -512,28 +530,15 @@ class Decomposition:
 def decomposition(g: Graph) -> Decomposition:
     """Bridges, blocks with their arcs, cores and BFS layering of a connected
     graph, from one low-link pass and one ``_layers`` run."""
-    blks, arcs = _low_link(g)
+    blks, arcs, comps = _low_link(g)
     cut = _bridges_of(blks)
-    comp = [-1] * g.n
-    comps: list[set[int]] = []
-    for s in range(g.n):
-        if comp[s] >= 0:
-            continue
-        cid = len(comps)
-        comps.append({s})
-        comp[s] = cid
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if comp[y] < 0 and canonical_edge(x, y) not in cut:
-                    comp[y] = cid
-                    comps[cid].add(y)
-                    queue.append(y)
+    comp = [0] * g.n
+    for cid, vs in enumerate(comps):
+        for v in vs:
+            comp[v] = cid
     incident: list[list[tuple[int, int]]] = [[] for _ in comps]
     for u, v in sorted(cut):
         incident[comp[u]].append((u, v))
         incident[comp[v]].append((u, v))
-    # components were found from their lowest vertex, so they are in order
-    cores = tuple(CoreComponent(frozenset(vs), tuple(inc)) for vs, inc in zip(comps, incident))
+    cores = tuple(CoreComponent(vs, tuple(inc)) for vs, inc in zip(comps, incident))
     return Decomposition(cut, blks, arcs, cores, *map(tuple, _layers(g)), g)

@@ -11,12 +11,14 @@ block per canonical prefix: its canonical suffixes, one lane each, in
 lexicographic order.  A lane owns a field of n + 1 bits, n data bits and a
 guard bit, and one Python int per (vertex, last color) state packs the
 fields of every lane: the block kernel is a bit-parallel fixpoint over the
-arcs, seeded with the empty walk, at one AND, one OR and one compare per
-arc and color per sweep, over every lane and every source at once.  Lanes
-that strand a leaf (see _dead_ends) lose their seeds first, and a block
-whose lanes all do skips the kernel.  Passing lanes come out in lane
-order, so witnesses and explored counts follow the canonical order.  The
-search reads nothing from the verifiers, which re-check each witness.
+arcs, seeded with the empty walk, over every lane and every source at once.
+Its sweeps visit the tails in breadth-first order, forward then back, and
+skip a tail whose ints are unchanged; each visit costs one AND, one OR and
+one compare per arc out of the tail and color.  Lanes that strand a leaf
+(see _dead_ends) lose their seeds first, and a block whose lanes all do
+skips the kernel.  Passing lanes come out in lane order, so witnesses and
+explored counts follow the canonical order.  The search reads nothing from
+the verifiers, which re-check each witness.
 
 Each level is one generator, _level, that yields its walk-passing colorings
 in order; _solve chains the levels, exact_pw, exact_pp and exact_directed
@@ -105,18 +107,19 @@ def canonical_colorings(m: int, max_color: int):
             return
 
 
-def _level(k, pairs, nbrs, dead, before):
+def _level(k, pairs, nbrs, dead, before, order):
     """Yield ExactResult(k, witness, before + explored) for each canonical
     coloring of level k that passes the all-pairs walk check, in canonical
     order, and return the level's count of colorings.  ``nbrs`` is the
-    _neighbor_table of ``pairs`` and ``dead`` its _dead_ends table.
+    _neighbor_table of ``pairs``, ``dead`` its _dead_ends table and
+    ``order`` the order of _block_ok's sweeps.
 
     The last s edges are the suffix, with max(k, 2) ** s <= _LANES (the
     first edge is always in the prefix); k = 1 sizes as k = 2, which keeps
-    s, and so _suffixes' recursion, small on graphs with many edges.  Each canonical prefix, in lexicographic
-    order, makes one block: its canonical suffixes, one lane each, in
-    lexicographic order.  _live drops the lanes that strand a leaf, and
-    _block_ok checks the rest at once."""
+    s, and so _suffixes' recursion, small on graphs with many edges.  Each
+    canonical prefix, in lexicographic order, makes one block: its
+    canonical suffixes, one lane each, in lexicographic order.  _live drops
+    the lanes that strand a leaf, and _block_ok checks the rest at once."""
     m, n = len(pairs), len(nbrs)
     s = 0
     while s < m - 1 and max(k, 2) ** (s + 1) <= _LANES:
@@ -129,7 +132,7 @@ def _level(k, pairs, nbrs, dead, before):
         picks += tail
         live = _live(picks, dead, solid[0][0])
         if live:
-            for lane in _block_ok(k, nbrs, picks, live):
+            for lane in _block_ok(k, nbrs, picks, live, order):
                 witness = dict(zip(pairs, prefix + list(rows[lane])))
                 yield ExactResult(k, EdgeColoring(k, witness), before + explored + lane + 1)
         explored += len(rows)
@@ -172,11 +175,18 @@ def _dead_ends(nbrs):
     A coloring that gives all of them e's color strands x: a walk from x
     enters y along e and must leave y along a color other than e's, so it
     reaches only x and y.  It fails when n >= 3, so the table is empty
-    when n < 3.  This follows from the definition of a walk alone."""
+    when n < 3.  This follows from the definition of a walk alone.  Each
+    set of edges {e} + others is listed once: on a graph, every leaf at y
+    gives the set of y's edges."""
     if len(nbrs) < 3:
         return []
-    return [(e, [f for _, f in nbrs[y] if f != e])
-            for row in nbrs if len(row) == 1 for y, e in row]
+    found = {}
+    for row in nbrs:
+        if len(row) == 1:
+            (y, e), = row
+            others = [f for _, f in nbrs[y] if f != e]
+            found.setdefault(frozenset(others + [e]), (e, others))
+    return list(found.values())
 
 
 def _live(picks, dead, ones):
@@ -191,7 +201,7 @@ def _live(picks, dead, ones):
     return live
 
 
-def _block_ok(k, nbrs, picks, live):
+def _block_ok(k, nbrs, picks, live, order):
     """The all-pairs walk check on every lane of a block at once: the lanes
     whose data bits are set in ``live``, each a coloring of the edges of
     ``nbrs`` given by ``picks`` (see _suffixes).  Yields the passing lanes
@@ -203,10 +213,12 @@ def _block_ok(k, nbrs, picks, live):
     field of v, since it may leave v along any color; a lane outside
     ``live`` has no seed, so it never fills.
 
-    Each sweep visits the tails a in vertex order, skipping those whose
-    ints are unchanged since their last visit.  avail[c], the sources whose
-    walks may leave a along color c + 1, is the seed alone at k = 1, the
-    other color's int at k = 2 and the OR of the other colors' ints at
+    Sweeps visit the tails a in ``order``, then in reverse, and so on,
+    skipping those whose ints are unchanged since their last visit.  With
+    the _bfs_order that _solve passes, reach spreads along a sweep rather
+    than one edge per sweep, in both directions.  avail[c], the sources
+    whose walks may leave a along color c + 1, is the seed alone at k = 1,
+    the other color's int at k = 2 and the OR of the other colors' ints at
     k >= 3.  Each arc a -> b of edge e then costs, per color c, one AND
     with picks[e][c], one OR into b's int and one compare.  Sweeps repeat
     until no int changes; the answer is the least fixpoint, so the order
@@ -220,12 +232,12 @@ def _block_ok(k, nbrs, picks, live):
     colors = range(k)
     dirty = [True] * n
     while True in dirty:
-        for a, row in enumerate(nbrs):
+        for a in order:
             if not dirty[a]:
                 continue
             dirty[a] = False
             avail = _others(k, reach[a], seeds[a])
-            for b, e in row:
+            for b, e in nbrs[a]:
                 target, pick = reach[b], picks[e]
                 for c in colors:
                     old = target[c]
@@ -233,6 +245,7 @@ def _block_ok(k, nbrs, picks, live):
                     if new != old:
                         target[c] = new
                         dirty[b] = True
+        order = order[::-1]
     cover = live
     for states in reach:
         cover &= reduce(or_, states)
@@ -267,6 +280,25 @@ def _neighbor_table(n, pairs, bidirectional):
     return nbrs
 
 
+def _bfs_order(nbrs):
+    """The vertices of ``nbrs`` in breadth-first order along its arcs, from
+    vertex 0 and again from the lowest vertex not yet reached."""
+    seen = [False] * len(nbrs)
+    order = []
+    for root in range(len(nbrs)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for x in queue:
+            for y, _ in nbrs[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        order += queue
+    return order
+
+
 def _solve(n, pairs, bidirectional, max_k, budgets):
     """The level loop behind every solver: yield ExactResult(k, witness,
     colorings explored so far) for each canonical coloring of ``pairs`` that
@@ -276,13 +308,14 @@ def _solve(n, pairs, bidirectional, max_k, budgets):
         yield ExactResult(1, EdgeColoring(1, {}), 1)
         return
     nbrs = _neighbor_table(n, pairs, bidirectional)
+    order = _bfs_order(nbrs)
     dead = _dead_ends(nbrs)
     total = 0
     for k in range(1, max_k + 1):
         limit = _edge_budget(k, budgets)
         if m > limit:
             raise BudgetExceededError(k, m, limit)
-        total += yield from _level(k, pairs, nbrs, dead, total)
+        total += yield from _level(k, pairs, nbrs, dead, total, order)
 
 
 def _first(results, accept) -> ExactResult | None:

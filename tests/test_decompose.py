@@ -527,6 +527,39 @@ class TestDisjointOddCycles:
     def test_single_odd_cycle_absent(self):
         assert disjoint_odd_cycles(cycle(5)) is None
 
+    def test_one_odd_block_gives_the_whole_graph_cycle(self):
+        # the other blocks are bipartite, so the odd block's own search
+        # finds the cycle the whole graph's search would
+        checked = 0
+        for G in nx.graph_atlas_g():
+            n = G.number_of_nodes()
+            if n < 3 or not nx.is_connected(G):
+                continue
+            g = Graph(n, list(G.edges()))
+            odd = list(decompose.decomposition(g).odd_blocks())
+            if len(odd) == 1:
+                assert odd[0][1] == shortest_odd_cycle(g), g.edges
+                checked += 1
+        assert checked == 865
+
+    def test_one_odd_block_skips_the_whole_graph_search(self, monkeypatch):
+        # a triangle with a square hung on vertex 2, and K5 with a leaf:
+        # each block of 3 or more vertices is searched in its induced copy,
+        # then the graph minus the cycle, never the whole graph
+        runs = []
+        real = decompose._shortest_odd_cycle
+        monkeypatch.setattr(decompose, "_shortest_odd_cycle",
+                            lambda h, ends: runs.append(h) or real(h, ends))
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
+        assert disjoint_odd_cycles(g) is None
+        assert [h.n for h in runs] == [3, 4, 6] and g not in runs
+        runs.clear()
+        g = Graph(6, complete(5).edges + ((0, 5),))
+        c1, c2, conn = disjoint_odd_cycles(g)
+        assert {frozenset(c1), frozenset(c2)} == {frozenset({0, 1, 2}), frozenset({0, 3, 4})}
+        assert conn == (0,)
+        assert [h.n for h in runs] == [5, 6] and g not in runs
+
     def test_postconditions_everywhere(self):
         for n in range(3, 7):
             for g in connected_graphs(n):

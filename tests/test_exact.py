@@ -328,11 +328,11 @@ class TestBlockKernel:
             seqs = list(canonical_colorings(len(pairs), k))
             picks, live = pack(n, k, seqs)
             want = walk_passing(nbrs, k, seqs)
-            assert list(exact._block_ok(k, nbrs, picks, live)) == want, (pairs, k)
+            assert list(exact._block_ok(k, nbrs, picks, live, range(n))) == want, (pairs, k)
             # a lane left out of live has no seed, so it never passes
             odd = sum((1 << n) - 1 << j * (n + 1) for j in range(1, len(seqs), 2))
             even = [j for j in want if j % 2 == 0]
-            assert list(exact._block_ok(k, nbrs, picks, live & ~odd)) == even
+            assert list(exact._block_ok(k, nbrs, picks, live & ~odd, range(n))) == even
 
     def test_every_coloring_of_small_graphs(self):
         for n in range(1, 6):
@@ -363,19 +363,60 @@ class TestBlockKernel:
             passing = {seqs[p] for p in chosen}
             blocks = []
 
-            def fake(k, nbrs, picks, live):
+            def fake(k, nbrs, picks, live, order):
                 rows = unpack(2, picks, live)
                 blocks.append((len(rows), [j for j, row in rows.items() if row in passing]))
                 return blocks[-1][1]
             monkeypatch.setattr(exact, "_block_ok", fake)
             # the fake reads each coloring off the picks, so only n = 2 matters
             pairs = [(0, e + 1) for e in range(m)]
-            stream, count = drain(exact._level(k, pairs, [[], []], [], 100))
+            stream, count = drain(exact._level(k, pairs, [[], []], [], 100, range(2)))
             assert count == len(seqs) == sum(size for size, _ in blocks) and len(blocks) > 2
             assert any(lanes[:1] == [0] for _, lanes in blocks[1:])
             assert any(lanes[-1:] == [size - 1] for size, lanes in blocks[:-1])
             assert [(r.k, r.explored, tuple(r.witness.assignment[e] for e in pairs))
                     for r in stream] == [(k, 100 + p + 1, seqs[p]) for p in chosen]
+
+
+class TestSweepOrder:
+    """The kernel's sweeps may visit the tails in any order: the answer is
+    the least fixpoint, so only the number of sweeps depends on it."""
+
+    @staticmethod
+    def assert_order_free(n, pairs, bidirectional):
+        nbrs = exact._neighbor_table(n, pairs, bidirectional)
+        bfs = exact._bfs_order(nbrs)
+        shuffled = random.Random(len(pairs)).sample(range(n), n)
+        for k in (1, 2, 3):
+            seqs = list(canonical_colorings(len(pairs), k))
+            picks, live = pack(n, k, seqs)
+            want = walk_passing(nbrs, k, seqs)
+            for order in (bfs, bfs[::-1], shuffled):
+                got = exact._block_ok(k, nbrs, picks, live, order)
+                assert list(got) == want, (pairs, k, order)
+
+    def test_every_coloring_of_small_graphs(self):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                self.assert_order_free(g.n, g.edges, True)
+
+    def test_every_coloring_of_small_digraphs(self):
+        for d in scc_digraphs(3):
+            self.assert_order_free(d.n, d.arcs, False)
+
+    def test_order_is_breadth_first_permutation(self):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                order = exact._bfs_order(exact._neighbor_table(n, g.edges, True))
+                assert sorted(order) == list(range(n)) and order[0] == 0
+        for d in scc_digraphs(3):
+            assert sorted(exact._bfs_order(exact._neighbor_table(d.n, d.arcs, False))) \
+                == list(range(d.n))
+        g = Graph(5, [(0, 1), (0, 3), (1, 4), (2, 3)])      # the path 4 1 0 3 2
+        assert exact._bfs_order(exact._neighbor_table(5, g.edges, True)) == [0, 1, 3, 4, 2]
+        # along out-arcs 0 reaches only 3 and 4; 1 is next, then 2 via 1
+        arcs = [(0, 4), (1, 2), (1, 0), (2, 0), (4, 3)]
+        assert exact._bfs_order(exact._neighbor_table(5, arcs, False)) == [0, 4, 3, 1, 2]
 
 
 class TestKernelFieldWidths:
@@ -409,13 +450,13 @@ class TestKernelFieldWidths:
                     rows.append([rng.randint(1, k) for _ in path] + chord_colors)
             rng.shuffle(rows)
             want = walk_passing(nbrs, k, rows)
-            assert list(exact._block_ok(k, nbrs, *pack(n, k, rows))) == want, k
+            assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), range(n))) == want, k
             assert bool(want) == (k >= 2) and len(want) < len(rows)
         # with one color only a complete graph or digraph passes
         pairs = [(u, v) for u in range(n) for v in range(n) if u < v or directed and u != v]
         nbrs = exact._neighbor_table(n, pairs, not directed)
         rows = [[1] * len(pairs)] * 5
-        assert list(exact._block_ok(1, nbrs, *pack(n, 1, rows))) == [0, 1, 2, 3, 4]
+        assert list(exact._block_ok(1, nbrs, *pack(n, 1, rows), range(n))) == [0, 1, 2, 3, 4]
 
 
 def drain(gen):
@@ -454,6 +495,20 @@ class TestDeadEnds:
                     for g in connected_graphs(n))
         fired += sum(self.fired(d.n, d.arcs, False) for d in scc_digraphs(3))
         assert fired > 0
+
+    def test_one_entry_per_edge_set(self):
+        # every leaf at a vertex y gives the set of y's edges, so a star
+        # has one entry; out-degree-1 vertices of a digraph give one each
+        for n in range(3, 6):
+            for g in connected_graphs(n):
+                dead = exact._dead_ends(exact._neighbor_table(n, g.edges, True))
+                sets = [frozenset([e, *others]) for e, others in dead]
+                assert len(set(sets)) == len(sets), g.edges
+        star_table = exact._neighbor_table(5, star(5).edges, True)
+        assert exact._dead_ends(star_table) == [(0, [1, 2, 3])]
+        arcs = [(0, 1), (0, 2), (1, 0), (2, 0)]
+        assert exact._dead_ends(exact._neighbor_table(3, arcs, False)) == [
+            (2, [0, 1]), (3, [0, 1])]
 
     def test_silent_on_two_vertices(self):
         # both walks of P_2 and of the 2-cycle end at once, yet every pair
@@ -509,7 +564,7 @@ class TestBlockSearchMatchesPython:
         for g in CWF_REFUTED:
             assert g.m in (11, 12, 13)
             nbrs = exact._neighbor_table(g.n, g.edges, True)
-            assert drain(exact._level(2, g.edges, nbrs, exact._dead_ends(nbrs), 0)) \
+            assert drain(exact._level(2, g.edges, nbrs, exact._dead_ends(nbrs), 0, range(g.n))) \
                 == ([], 2 ** (g.m - 1))
             assert one_at_a_time(g, g.edges, True, 2, walks) is None
         g = CWF_REFUTED[0]
@@ -556,7 +611,7 @@ KERNEL_LIES = """
 import properwalk.exact as exact
 from properwalk import cycle, directed_cycle
 assert not __debug__, "asserts are on"
-exact._block_ok = lambda k, nbrs, picks, live: [0]  # passes each block's first lane
+exact._block_ok = lambda k, nbrs, picks, live, order: [0]  # passes each block's first lane
 for search in (lambda: exact.exact_pw(cycle(5), max_k=2),
                lambda: exact.exact_directed(directed_cycle(3), "walk")):
     try:

@@ -185,7 +185,8 @@ def test_block_kernel_matches_scc_pass(directed, data):
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
     rows = [[rng.randint(1, k) for _ in pairs] for _ in range(data.draw(st.integers(1, 300)))]
     nbrs = exact._neighbor_table(n, pairs, not directed)
-    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows))) == walk_passing(nbrs, k, rows)
+    want = walk_passing(nbrs, k, rows)
+    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), range(n))) == want
 
 
 @PROPERTY
@@ -206,4 +207,7 @@ def test_block_kernel_on_canonical_lanes(directed, data):
         first = {}
         rows.append([first.setdefault(rng.randint(1, k), len(first) + 1) for _ in pairs])
     nbrs = exact._neighbor_table(n, pairs, not directed)
-    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows))) == walk_passing(nbrs, k, rows)
+    want = walk_passing(nbrs, k, rows)
+    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), range(n))) == want
+    # and in the breadth-first order the search sweeps in
+    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), exact._bfs_order(nbrs))) == want
