@@ -12,13 +12,41 @@ lexicographic order.  A lane owns a field of n + 1 bits, n data bits and a
 guard bit, and one Python int per (vertex, last color) state packs the
 fields of every lane: the block kernel is a bit-parallel fixpoint over the
 arcs, seeded with the empty walk, over every lane and every source at once.
-Its sweeps visit the tails in breadth-first order, forward then back, and
-skip a tail whose ints are unchanged; each visit costs one AND, one OR and
-one compare per arc out of the tail and color.  Lanes that strand a leaf
-(see _dead_ends) lose their seeds first, and a block whose lanes all do
-skips the kernel.  Passing lanes come out in lane order, so witnesses and
-explored counts follow the canonical order.  The search reads nothing from
-the verifiers, which re-check each witness.
+On a graph the pendant trees are peeled off once per search (_peel): the
+kernel passes up each tree once, sweeps the rest, the core, until nothing
+changes, and passes down each tree once.  Its sweeps visit the core's tails
+in breadth-first order, forward then back, and skip a tail whose ints are
+unchanged; each visit costs one AND, one OR and one compare per arc out of
+the tail and color.  Lanes that strand a leaf (see _dead_ends) lose their
+seeds first, and a block whose lanes all do skips the kernel.  Passing
+lanes come out in lane order, so witnesses and explored counts follow the
+canonical order.  The search reads nothing from the verifiers, which
+re-check each witness.
+
+Pendant-tree lemma.  Let _peel remove t with parent p along edge e, and
+let T be t's tree: t and the vertices removed before it on t's side of e.
+No properly colored walk enters T along e and later leaves it.  Proof: e is
+the only edge between T and the rest, so the walk leaves along e, and
+between those two steps it makes a closed walk W in T from t.  If W is
+empty, the walk takes e twice in a row.  Otherwise let x be a vertex of W
+farthest from t: W enters x from its neighbor toward t and must leave to a
+neighbor no farther from t, which is that one again.  Either way the walk
+takes one edge twice in a row, in one color.  The lemma uses nothing but
+the definition of a walk.  Lane by lane, with R the least fixpoint (R[v][c]
+holds v and the sources of the walks to v whose last edge has color c + 1),
+it makes each pass of the kernel exact:
+
+- up: a walk to t whose last edge is not e comes from a child s of t, so
+  by the lemma for s it starts in s's tree and stays there until that
+  last step.  Taken in peel order, t's ints, seeded and fed by its
+  children alone, hold R[t] in every color but e's, and those that may
+  take e give p every walk that comes up out of T;
+- sweeps: a walk that ends in the core never enters a tree once it is in
+  the core, so it comes up out of at most one tree, at its start, and then
+  follows the core's arcs: sweeps over those arcs alone complete R there;
+- down: taken in reverse peel order, p holds R[p] when t is reached, and
+  the walks to t along e are those of R[p] that may take e, in e's color
+  alone.  With the walks from t's children that is R[t].
 
 Each level is one generator, _level, that yields its walk-passing colorings
 in order; _solve chains the levels, exact_pw, exact_pp and exact_directed
@@ -95,7 +123,16 @@ def _advance_py(colors, maxp, k) -> int:
 def canonical_colorings(m: int, max_color: int):
     """Yield every canonical color sequence of length m with at most
     ``max_color`` colors, in lexicographic order.  For max_color = 2 there
-    are exactly 2**(m-1) of them (the first edge is pinned to color 1)."""
+    are exactly 2**(m-1) of them (the first edge is pinned to color 1).
+    Raises ValueError at the call when m < 0, or max_color < 1 while m >= 1."""
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
+    if m and max_color < 1:
+        raise ValueError(f"max_color must be at least 1, got {max_color}")
+    return _canonical(m, max_color)
+
+
+def _canonical(m, max_color):
     if m == 0:
         yield ()
         return
@@ -107,12 +144,15 @@ def canonical_colorings(m: int, max_color: int):
             return
 
 
-def _level(k, pairs, nbrs, dead, before, order):
+def _level(k, pairs, core, dead, before, order, peel):
     """Yield ExactResult(k, witness, before + explored) for each canonical
     coloring of level k that passes the all-pairs walk check, in canonical
-    order, and return the level's count of colorings.  ``nbrs`` is the
-    _neighbor_table of ``pairs``, ``dead`` its _dead_ends table and
-    ``order`` the order of _block_ok's sweeps.
+    order, and return the level's count of colorings.  ``dead`` is the
+    _dead_ends table of the _neighbor_table of ``pairs``; ``core`` and
+    ``peel`` are that table split by _peel (the table itself and no peel
+    list on a digraph), and ``order`` the core's tails in the order of
+    _block_ok's sweeps.  The peel changes no lane's answer (see the
+    pendant-tree lemma in the module docstring).
 
     The last s edges are the suffix, with max(k, 2) ** s <= _LANES (the
     first edge is always in the prefix); k = 1 sizes as k = 2, which keeps
@@ -120,7 +160,7 @@ def _level(k, pairs, nbrs, dead, before, order):
     canonical prefix, in lexicographic order, makes one block: its
     canonical suffixes, one lane each, in lexicographic order.  _live drops
     the lanes that strand a leaf, and _block_ok checks the rest at once."""
-    m, n = len(pairs), len(nbrs)
+    m, n = len(pairs), len(core)
     s = 0
     while s < m - 1 and max(k, 2) ** (s + 1) <= _LANES:
         s += 1
@@ -132,7 +172,7 @@ def _level(k, pairs, nbrs, dead, before, order):
         picks += tail
         live = _live(picks, dead, solid[0][0])
         if live:
-            for lane in _block_ok(k, nbrs, picks, live, order):
+            for lane in _block_ok(k, core, picks, live, order, peel):
                 witness = dict(zip(pairs, prefix + list(rows[lane])))
                 yield ExactResult(k, EdgeColoring(k, witness), before + explored + lane + 1)
         explored += len(rows)
@@ -201,43 +241,54 @@ def _live(picks, dead, ones):
     return live
 
 
-def _block_ok(k, nbrs, picks, live, order):
+def _block_ok(k, core, picks, live, order, peel):
     """The all-pairs walk check on every lane of a block at once: the lanes
     whose data bits are set in ``live``, each a coloring of the edges of
-    ``nbrs`` given by ``picks`` (see _suffixes).  Yields the passing lanes
-    in increasing order.
+    the graph given by ``picks`` (see _suffixes).  ``core`` and ``peel``
+    are its _neighbor_table split by _peel, or the table and no peel list,
+    and ``order`` lists the core's tails.  Yields the passing lanes in
+    increasing order.
 
     One Python int per (vertex v, color c) packs the fields of all lanes:
     bit u of lane i's field says that source u reaches v by a walk ending
     in color c + 1, or u = v.  The empty walk seeds bit v into every live
     field of v, since it may leave v along any color; a lane outside
-    ``live`` has no seed, so it never fills.
+    ``live`` has no seed, so it never fills.  avail[c] at a vertex a, the
+    sources whose walks may leave a along color c + 1, is the seed alone
+    at k = 1, the other color's int at k = 2 and the OR of the other
+    colors' ints at k >= 3.  A step a -> b along edge e then costs, per
+    color c, one AND of avail[c] with picks[e][c] and one OR into b's int.
 
-    Sweeps visit the tails a in ``order``, then in reverse, and so on,
-    skipping those whose ints are unchanged since their last visit.  With
-    the _bfs_order that _solve passes, reach spreads along a sweep rather
-    than one edge per sweep, in both directions.  avail[c], the sources
-    whose walks may leave a along color c + 1, is the seed alone at k = 1,
-    the other color's int at k = 2 and the OR of the other colors' ints at
-    k >= 3.  Each arc a -> b of edge e then costs, per color c, one AND
-    with picks[e][c], one OR into b's int and one compare.  Sweeps repeat
-    until no int changes; the answer is the least fixpoint, so the order
-    sets only the number of sweeps.  A lane passes when all n data bits of
-    the AND over v of v's OR over colors are set: adding 1 to its field
-    then carries into the guard bit."""
-    n = len(nbrs)
+    The up pass steps from each peeled vertex t to its parent, in peel
+    order, once.  The sweeps then visit the tails a in ``order``, then in
+    reverse, and so on, skipping those whose ints are unchanged since
+    their last visit, over the core's arcs alone, with a compare per step;
+    with the _bfs_order that _solve passes, reach spreads along a sweep
+    rather than one edge per sweep, in both directions.  They repeat
+    until no int changes: the least fixpoint on the core, so the order
+    sets only the number of sweeps.  The down pass steps from each parent
+    to its peeled t, in reverse peel order, once.  By the pendant-tree
+    lemma (module docstring) the ints then hold the least fixpoint of the
+    whole graph, the same as sweeping every arc.  A lane passes when all
+    n data bits of the AND over v of v's OR over colors are set: adding 1
+    to its field then carries into the guard bit."""
+    n = len(core)
     low = live & ~(live << 1)
     seeds = [low << v for v in range(n)]
     reach = [[seed] * k for seed in seeds]
     colors = range(k)
-    dirty = [True] * n
+    for t, p, e in peel:
+        _step(colors, _others(k, reach[t], seeds[t]), picks[e], reach[p])
+    dirty = [False] * n
+    for a in order:
+        dirty[a] = True
     while True in dirty:
         for a in order:
             if not dirty[a]:
                 continue
             dirty[a] = False
             avail = _others(k, reach[a], seeds[a])
-            for b, e in nbrs[a]:
+            for b, e in core[a]:
                 target, pick = reach[b], picks[e]
                 for c in colors:
                     old = target[c]
@@ -246,6 +297,8 @@ def _block_ok(k, nbrs, picks, live, order):
                         target[c] = new
                         dirty[b] = True
         order = order[::-1]
+    for t, p, e in reversed(peel):
+        _step(colors, _others(k, reach[p], seeds[p]), picks[e], reach[t])
     cover = live
     for states in reach:
         cover &= reduce(or_, states)
@@ -256,14 +309,34 @@ def _block_ok(k, nbrs, picks, live, order):
         i = bits.find("1", i + 1)
 
 
+def _step(colors, avail, pick, target):
+    """One step of the up or down pass: the walks of ``avail`` that may
+    take an edge with picks ``pick``, into the ints ``target`` of its
+    other end."""
+    for c in colors:
+        target[c] |= avail[c] & pick[c]
+
+
 def _others(k, ints, seed):
     """For each color c, the OR of ``ints`` over the colors other than c;
-    the seed alone at k = 1."""
+    the seed alone at k = 1.  At k >= 4 each is the OR of the colors
+    before c and of those after it, built up from both ends."""
     if k == 1:
         return (seed,)
     if k == 2:
         return ints[1], ints[0]
-    return [reduce(or_, ints[:c] + ints[c + 1:]) for c in range(k)]
+    if k == 3:
+        a, b, c = ints
+        return b | c, a | c, a | b
+    out, acc = [0] * k, 0
+    for c in range(k - 1):
+        acc |= ints[c]
+        out[c + 1] = acc
+    acc = 0
+    for c in range(k - 1, 0, -1):
+        acc |= ints[c]
+        out[c - 1] |= acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +372,54 @@ def _bfs_order(nbrs):
     return order
 
 
+def _peel(nbrs):
+    """(core, peel) for the _neighbor_table of a connected graph: peel
+    lists (t, parent, edge) for each vertex t removed while it had one
+    neighbor left, its parent, along that edge, in the order of removal,
+    until no vertex has one neighbor left or one vertex is left.  core is
+    the table without the arcs of the removed edges, so a removed vertex
+    has no arcs, and neither has the last vertex of a tree.  Each vertex
+    comes after its children, so the removed vertices are the pendant
+    trees.  With no leaf, core is nbrs itself."""
+    leaves = [t for t, row in enumerate(nbrs) if len(row) == 1]
+    if not leaves:
+        return nbrs, []
+    core, peel, left = nbrs[:], [], len(nbrs)
+    for t in leaves:
+        if left == 1:
+            break
+        (p, e), = core[t]
+        core[t] = []
+        left -= 1
+        peel.append((t, p, e))
+        row = core[p] = [arc for arc in core[p] if arc[0] != t]
+        if len(row) == 1:
+            leaves.append(p)
+    return core, peel
+
+
 def _solve(n, pairs, bidirectional, max_k, budgets):
     """The level loop behind every solver: yield ExactResult(k, witness,
     colorings explored so far) for each canonical coloring of ``pairs`` that
-    passes the all-pairs walk check, level by level up to max_k."""
+    passes the all-pairs walk check, level by level up to max_k.  Raises
+    ValueError when max_k < 1, before any level.  A graph's pendant trees
+    are peeled once here, for every level."""
+    if max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
     m = len(pairs)
     if m == 0:
         yield ExactResult(1, EdgeColoring(1, {}), 1)
         return
     nbrs = _neighbor_table(n, pairs, bidirectional)
-    order = _bfs_order(nbrs)
     dead = _dead_ends(nbrs)
+    core, peel = _peel(nbrs) if bidirectional else (nbrs, [])
+    order = [a for a in _bfs_order(core) if core[a]]
     total = 0
     for k in range(1, max_k + 1):
         limit = _edge_budget(k, budgets)
         if m > limit:
             raise BudgetExceededError(k, m, limit)
-        total += yield from _level(k, pairs, nbrs, dead, total, order)
+        total += yield from _level(k, pairs, core, dead, total, order, peel)
 
 
 def _first(results, accept) -> ExactResult | None:

@@ -47,6 +47,17 @@ class TestCanonicalEnumeration:
         assert seqs == sorted(seqs)
         assert seqs[0] == (1, 1, 1) and seqs[-1] == (1, 2, 3)
 
+    def test_rejects_bad_arguments(self):
+        # raised at the call, before any coloring is read
+        with pytest.raises(ValueError, match="m must be at least 0, got -1"):
+            canonical_colorings(-1, 2)
+        for max_color in (0, -2):
+            with pytest.raises(ValueError, match=f"max_color must be at least 1, got {max_color}"):
+                canonical_colorings(3, max_color)
+        # the empty sequence needs no color
+        assert list(canonical_colorings(0, 0)) == [()]
+        assert list(canonical_colorings(1, 1)) == [(1,)]
+
 
 class TestExactPw:
     def test_complete4(self):
@@ -141,6 +152,20 @@ class TestExactPw:
                 want = unpruned_minimum(g, 4)
                 got = exact_pw(g, max_k=4)
                 assert got.k == want
+
+
+@pytest.mark.parametrize("max_k", [0, -1])
+@pytest.mark.parametrize("solve", [
+    lambda g, d, max_k: exact_pw(g, max_k=max_k),
+    lambda g, d, max_k: exact_pp(g, max_k=max_k),
+    lambda g, d, max_k: exact_pw_pp(g, max_k=max_k),
+    lambda g, d, max_k: exact_directed(d, "walk", max_k=max_k),
+    lambda g, d, max_k: exact_directed(d, "path", max_k=max_k)])
+def test_max_k_below_one_rejected(solve, max_k):
+    # a single vertex, whose only coloring has no edge, and larger graphs
+    for g, d in ((Graph(1), Digraph(1)), (cycle(5), directed_cycle(3))):
+        with pytest.raises(ValueError, match=f"max_k must be at least 1, got {max_k}"):
+            solve(g, d, max_k)
 
 
 class TestExactPp:
@@ -317,6 +342,17 @@ def walk_passing(nbrs, k, rows):
             if _first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None]
 
 
+def layouts(nbrs, bidirectional):
+    """The (table, order, peel) arguments of exact._block_ok that must give
+    the same lanes: every arc swept in vertex order with no peel, and on a
+    graph the search's layout, the pendant trees peeled and the core swept
+    in breadth-first order."""
+    yield nbrs, range(len(nbrs)), []
+    if bidirectional:
+        core, peel = exact._peel(nbrs)
+        yield core, [a for a in exact._bfs_order(core) if core[a]], peel
+
+
 class TestBlockKernel:
     """The block kernel against the per-coloring check, verify's SCC pass,
     lane by lane."""
@@ -328,11 +364,13 @@ class TestBlockKernel:
             seqs = list(canonical_colorings(len(pairs), k))
             picks, live = pack(n, k, seqs)
             want = walk_passing(nbrs, k, seqs)
-            assert list(exact._block_ok(k, nbrs, picks, live, range(n))) == want, (pairs, k)
             # a lane left out of live has no seed, so it never passes
             odd = sum((1 << n) - 1 << j * (n + 1) for j in range(1, len(seqs), 2))
             even = [j for j in want if j % 2 == 0]
-            assert list(exact._block_ok(k, nbrs, picks, live & ~odd, range(n))) == even
+            for table, order, peel in layouts(nbrs, bidirectional):
+                got = exact._block_ok(k, table, picks, live, order, peel)
+                assert list(got) == want, (pairs, k, peel)
+                assert list(exact._block_ok(k, table, picks, live & ~odd, order, peel)) == even
 
     def test_every_coloring_of_small_graphs(self):
         for n in range(1, 6):
@@ -362,15 +400,18 @@ class TestBlockKernel:
                             | {len(seqs) - 1})
             passing = {seqs[p] for p in chosen}
             blocks = []
+            core, order, peel = [[], []], range(2), [(1, 0, 0)]
 
-            def fake(k, nbrs, picks, live, order):
+            def fake(k, table, picks, live, sweeps, peeled):
+                assert (table, sweeps, peeled) == (core, order, peel)
                 rows = unpack(2, picks, live)
                 blocks.append((len(rows), [j for j, row in rows.items() if row in passing]))
                 return blocks[-1][1]
             monkeypatch.setattr(exact, "_block_ok", fake)
-            # the fake reads each coloring off the picks, so only n = 2 matters
+            # the fake reads each coloring off the picks, so only n = 2 matters,
+            # and it checks that the level hands on its layout unchanged
             pairs = [(0, e + 1) for e in range(m)]
-            stream, count = drain(exact._level(k, pairs, [[], []], [], 100, range(2)))
+            stream, count = drain(exact._level(k, pairs, core, [], 100, order, peel))
             assert count == len(seqs) == sum(size for size, _ in blocks) and len(blocks) > 2
             assert any(lanes[:1] == [0] for _, lanes in blocks[1:])
             assert any(lanes[-1:] == [size - 1] for size, lanes in blocks[:-1])
@@ -385,15 +426,17 @@ class TestSweepOrder:
     @staticmethod
     def assert_order_free(n, pairs, bidirectional):
         nbrs = exact._neighbor_table(n, pairs, bidirectional)
-        bfs = exact._bfs_order(nbrs)
-        shuffled = random.Random(len(pairs)).sample(range(n), n)
         for k in (1, 2, 3):
             seqs = list(canonical_colorings(len(pairs), k))
             picks, live = pack(n, k, seqs)
             want = walk_passing(nbrs, k, seqs)
-            for order in (bfs, bfs[::-1], shuffled):
-                got = exact._block_ok(k, nbrs, picks, live, order)
-                assert list(got) == want, (pairs, k, order)
+            # each layout's tails in breadth-first order, reversed, shuffled
+            for table, tails, peel in layouts(nbrs, bidirectional):
+                bfs = [a for a in exact._bfs_order(table) if a in tails]
+                shuffled = random.Random(len(pairs)).sample(bfs, len(bfs))
+                for order in (bfs, bfs[::-1], shuffled):
+                    got = exact._block_ok(k, table, picks, live, order, peel)
+                    assert list(got) == want, (pairs, k, order, peel)
 
     def test_every_coloring_of_small_graphs(self):
         for n in range(1, 6):
@@ -423,40 +466,123 @@ class TestKernelFieldWidths:
     """The block kernel against verify's SCC pass, lane by lane, on graphs
     and digraphs of up to 100 vertices."""
 
-    @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63, 64, 65, 100])
-    def test_boundaries(self, n, directed):
-        # a lane's field has n + 1 bits, so fields cross the 30-bit digits of
-        # Python ints at every offset; 37 lanes, and n from 64 on, where an
-        # 8-byte field could no longer hold a lane.  The base is a path
-        # 0 - 1 - ... - n-1, both arcs of each step on a digraph, plus n // 2
-        # random chords; a lane that alternates colors 1 and 2 along the
-        # path passes whatever the chords get, and the lane of all ones fails.
+    @staticmethod
+    def check(n, directed, hung):
+        """A base path 0 - 1 - ... - b-1, b = n - hung, both arcs of each
+        step on a digraph, plus n // 2 random chords between its vertices;
+        vertices b to n-1 each hang off a random earlier vertex of degree at
+        most 2 in the base, so they make pendant paths and trees.  A lane
+        that colors the base properly, alternating 1 and 2 along the path
+        and taking a free color of three for each hung edge, passes whatever
+        the chords get; the lane of all ones fails."""
         rng = random.Random(n)
-        path = [(i, i + 1) for i in range(n - 1)]
-        chords = rng.sample([(u, v) for u in range(n) for v in range(u + 2, n)], n // 2)
+        b = n - hung
+        base = [(i, i + 1) for i in range(b - 1)]
+        chords = rng.sample([(u, v) for u in range(b) for v in range(u + 2, b)], n // 2)
+        proper = [1 + i % 2 for i in range(b - 1)]
+        colors_at = [{c for c in proper[max(v - 1, 0):v + 1]} for v in range(b)]
+        for v in range(b, n):
+            u = rng.choice([x for x in range(v) if len(colors_at[x]) < 3 - (x in (0, b - 1))])
+            base.append((u, v))
+            proper.append(min({1, 2, 3} - colors_at[u]))
+            colors_at[u].add(proper[-1])
+            colors_at.append({proper[-1]})
+        top = max(proper)
         if directed:
-            path += [(v, u) for u, v in path]
+            base += [(v, u) for u, v in base]
+            proper += proper
             chords = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in chords]
-        pairs = path + chords
+        pairs = base + chords
         nbrs = exact._neighbor_table(n, pairs, not directed)
         for k in (1, 2, 3, 4):
             rows = [[1] * len(pairs)]
             for i in range(36):
                 chord_colors = [rng.randint(1, k) for _ in chords]
                 if i % 3 == 0 and k >= 2:
-                    rows.append([1 + min(u, v) % 2 for u, v in path] + chord_colors)
+                    rows.append([min(c, k) for c in proper] + chord_colors)
                 else:
-                    rows.append([rng.randint(1, k) for _ in path] + chord_colors)
+                    rows.append([rng.randint(1, k) for _ in base] + chord_colors)
             rng.shuffle(rows)
             want = walk_passing(nbrs, k, rows)
-            assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), range(n))) == want, k
-            assert bool(want) == (k >= 2) and len(want) < len(rows)
+            for table, order, peel in layouts(nbrs, not directed):
+                got = exact._block_ok(k, table, *pack(n, k, rows), order, peel)
+                assert list(got) == want, (k, peel)
+            assert len(want) < len(rows) and (k >= top) <= bool(want) and (k > 1 or not want)
+        return nbrs
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63, 64, 65, 100])
+    def test_boundaries(self, n, directed):
+        # a lane's field has n + 1 bits, so fields cross the 30-bit digits of
+        # Python ints at every offset; 37 lanes, and n from 64 on, where an
+        # 8-byte field could no longer hold a lane
+        self.check(n, directed, 0)
         # with one color only a complete graph or digraph passes
         pairs = [(u, v) for u in range(n) for v in range(n) if u < v or directed and u != v]
         nbrs = exact._neighbor_table(n, pairs, not directed)
         rows = [[1] * len(pairs)] * 5
-        assert list(exact._block_ok(1, nbrs, *pack(n, 1, rows), range(n))) == [0, 1, 2, 3, 4]
+        assert list(exact._block_ok(1, nbrs, *pack(n, 1, rows), range(n), [])) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63, 64, 65, 100])
+    def test_pendant_trees(self, n, directed):
+        # the same widths with a quarter of the vertices in pendant trees,
+        # which the search's layout peels off a graph
+        nbrs = self.check(n, directed, n // 4)
+        if not directed:
+            core, peel = exact._peel(nbrs)
+            assert {t for t, _, _ in peel} >= set(range(n - n // 4, n))
+
+
+class TestPeel:
+    """exact._peel removes exactly the pendant trees, each vertex after its
+    children, and leaves the core's arcs."""
+
+    @staticmethod
+    def peel(g):
+        nbrs = exact._neighbor_table(g.n, g.edges, True)
+        core, peel = exact._peel(nbrs)
+        removed = [t for t, _, _ in peel]
+        assert len(set(removed)) == len(removed)
+        for i, (t, p, e) in enumerate(peel):
+            # t's one neighbor left is p, along e: its others went before it
+            assert (p, e) in nbrs[t] and p not in removed[:i + 1]
+            assert {y for y, _ in nbrs[t]} - {p} <= set(removed[:i])
+        kept = set(range(g.n)) - set(removed)
+        assert core == [[(y, e) for y, e in row if y in kept] if x in kept else []
+                        for x, row in enumerate(nbrs)]
+        return kept, peel
+
+    def test_tree_peels_to_one_vertex(self):
+        for n in range(2, 7):
+            for t in labeled_trees(n):
+                kept, peel = self.peel(t)
+                assert len(kept) == 1 and len(peel) == n - 1
+                assert sorted(e for _, _, e in peel) == list(range(t.m))
+        # a path peels from both ends toward the middle
+        assert self.peel(path_graph(5))[1] == [(0, 1, 0), (4, 3, 3), (1, 2, 1), (3, 2, 2)]
+
+    def test_odd_cycle_with_feet_peels_to_its_cycle(self):
+        for legs in ([1, 0, 0], [2, 2, 0], [3, 3, 2], [1, 1, 1, 0, 2]):
+            g = cycle_with_feet(len(legs), legs)
+            kept, peel = self.peel(g)
+            assert kept == set(range(len(legs))) and len(peel) == sum(legs)
+        # a spider's legs hang off its cycle's vertex as pendant paths
+        g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7)])
+        kept, peel = self.peel(g)
+        assert kept == {0, 1, 2} and [p for _, p, _ in peel] == [4, 6, 3, 2, 2]
+
+    def test_bridgeless_graph_peels_nothing(self):
+        for g in (cycle(5), complete(4), theta(2, 2, 1)):
+            nbrs = exact._neighbor_table(g.n, g.edges, True)
+            assert exact._peel(nbrs) == (nbrs, [])
+        # two cycles joined by a path keep the path: no vertex of it is a leaf
+        g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)])
+        assert self.peel(g) == (set(range(8)), [])
+
+    def test_one_and_two_vertices(self):
+        assert exact._peel([[]]) == ([[]], [])
+        assert self.peel(Graph(2, [(0, 1)])) == ({1}, [(0, 1, 0)])
 
 
 def drain(gen):
@@ -564,8 +690,9 @@ class TestBlockSearchMatchesPython:
         for g in CWF_REFUTED:
             assert g.m in (11, 12, 13)
             nbrs = exact._neighbor_table(g.n, g.edges, True)
-            assert drain(exact._level(2, g.edges, nbrs, exact._dead_ends(nbrs), 0, range(g.n))) \
-                == ([], 2 ** (g.m - 1))
+            for table, order, peel in layouts(nbrs, True):
+                level = exact._level(2, g.edges, table, exact._dead_ends(nbrs), 0, order, peel)
+                assert drain(level) == ([], 2 ** (g.m - 1))
             assert one_at_a_time(g, g.edges, True, 2, walks) is None
         g = CWF_REFUTED[0]
         res = exact_pw(g, max_k=3)
@@ -609,10 +736,15 @@ class TestBlockSearchMatchesPython:
 
 KERNEL_LIES = """
 import properwalk.exact as exact
-from properwalk import cycle, directed_cycle
+from properwalk import cycle, cycle_with_feet, directed_cycle
 assert not __debug__, "asserts are on"
-exact._block_ok = lambda k, nbrs, picks, live, order: [0]  # passes each block's first lane
+block_ok = exact._block_ok
+def lie(*args):  # runs the kernel on the layout it is handed, then passes lane 0
+    list(block_ok(*args))
+    return [0]
+exact._block_ok = lie
 for search in (lambda: exact.exact_pw(cycle(5), max_k=2),
+               lambda: exact.exact_pw(cycle_with_feet(3, [2, 1, 0]), max_k=2),
                lambda: exact.exact_directed(directed_cycle(3), "walk")):
     try:
         search()
@@ -636,7 +768,7 @@ def test_kernel_check_survives_python_O():
     """The verifier's veto on a kernel witness is an explicit raise, so it
     still guards exact_pw and exact_directed when python -O strips asserts."""
     lines = run_snippet(KERNEL_LIES, "-O").splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     for line in lines:
         assert line.startswith("raised: kernel accepted a coloring the verifier rejects")
 

@@ -15,7 +15,7 @@ from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
                         shortest_odd_cycle, two_disjoint_paths, verify_all_pairs,
                         verify_all_pairs_directed, walk_reachable,
                         walk_reachable_directed)
-from test_exact import pack, walk_passing
+from test_exact import layouts, pack, walk_passing
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -186,7 +186,8 @@ def test_block_kernel_matches_scc_pass(directed, data):
     rows = [[rng.randint(1, k) for _ in pairs] for _ in range(data.draw(st.integers(1, 300)))]
     nbrs = exact._neighbor_table(n, pairs, not directed)
     want = walk_passing(nbrs, k, rows)
-    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), range(n))) == want
+    for table, order, peel in layouts(nbrs, not directed):
+        assert list(exact._block_ok(k, table, *pack(n, k, rows), order, peel)) == want
 
 
 @PROPERTY
@@ -208,6 +209,8 @@ def test_block_kernel_on_canonical_lanes(directed, data):
         rows.append([first.setdefault(rng.randint(1, k), len(first) + 1) for _ in pairs])
     nbrs = exact._neighbor_table(n, pairs, not directed)
     want = walk_passing(nbrs, k, rows)
-    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), range(n))) == want
-    # and in the breadth-first order the search sweeps in
-    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), exact._bfs_order(nbrs))) == want
+    # in breadth-first order, in vertex order, and on a graph with its
+    # pendant trees peeled as the search does
+    assert list(exact._block_ok(k, nbrs, *pack(n, k, rows), exact._bfs_order(nbrs), [])) == want
+    for table, order, peel in layouts(nbrs, not directed):
+        assert list(exact._block_ok(k, table, *pack(n, k, rows), order, peel)) == want

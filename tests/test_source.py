@@ -58,7 +58,7 @@ def test_exact_search_shares_no_verify_code():
                 names.add(node.id)
                 if node.id in defs:
                     todo.append(node.id)
-    assert {"_level", "_live", "_block_ok", "_others", "_bfs_order"} <= names
+    assert {"_level", "_live", "_block_ok", "_others", "_bfs_order", "_peel"} <= names
     shared = sorted(name for name in names if hasattr(exact, name)
                     and (getattr(exact, name) is verify
                          or getattr(getattr(exact, name), "__module__", None) == verify.__name__))
