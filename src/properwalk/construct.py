@@ -618,37 +618,33 @@ def classify_cycle_feet(g: Graph) -> CycleFeetShape:
         return CycleFeetShape(False, reason="too small or disconnected")
     if g.m != g.n:
         return CycleFeetShape(False, reason="edge count does not match a cycle with feet")
-    feet_vs = [v for v in range(g.n) if g.degree(v) == 1]
     core = [v for v in range(g.n) if g.degree(v) >= 2]
-    if not feet_vs:
+    if len(core) == g.n:
         return CycleFeetShape(False, reason="no feet")
-    if len(core) < 3 or len(core) % 2 == 0:
+    if len(core) % 2 == 0:          # m = n puts a cycle in the core: 3 or more
         return CycleFeetShape(False, reason="core is not an odd cycle")
-    core_set = set(core)
-    for v in core:
-        if sum(1 for x in g.neighbors(v) if x in core_set) != 2:
-            return CycleFeetShape(False, reason="core is not an odd cycle")
-    # Deleting the leaves of a connected graph leaves it connected, so the
-    # core, 2-regular by the check above, is a single cycle.
-    start = min(core)
-    cyc = [start]
-    prev = -1
+    # Deleting the leaves of a connected graph leaves it connected, so a
+    # closed walk along the core through vertices with two core neighbors
+    # is the whole core, and each of its vertices has degree - 2 feet.
+    cyc, prev = [core[0]], -1
     while True:
-        nxt = min(x for x in g.neighbors(cyc[-1]) if x in core_set and x != prev)
-        prev = cyc[-1]
-        if nxt == start:
+        ahead = [x for x in g.neighbors(cyc[-1]) if g.degree(x) >= 2]
+        if len(ahead) != 2:
+            return CycleFeetShape(False, reason="core is not an odd cycle")
+        nxt = min(x for x in ahead if x != prev)
+        if nxt == cyc[0]:
             break
+        prev = cyc[-1]
         cyc.append(nxt)
-    cyc = tuple(cyc)
-    feet = tuple(sum(1 for x in g.neighbors(v) if g.degree(x) == 1) for v in cyc)
-
-    length = len(cyc)
-    for i in range(length):
-        u, v, w = cyc[i - 1], cyc[i], cyc[(i + 1) % length]
-        rest_ok = all(feet[j] == 0 for j in range(length)
-                      if cyc[j] not in (u, v, w))
-        if feet[i - 1] <= 1 and feet[(i + 1) % length] <= 1 and rest_ok:
-            return CycleFeetShape(True, cyc, feet, (u, v, w))
+    cyc, feet = tuple(cyc), tuple(g.degree(v) - 2 for v in cyc)
+    # v's triple holds every foot, so v is the first footed vertex or next
+    # to it; trying those in cycle order finds the first witness
+    length, footed = len(cyc), [i for i, f in enumerate(feet) if f]
+    for i in sorted({(footed[0] + d) % length for d in (-1, 0, 1)}):
+        h, j = i - 1, (i + 1) % length
+        if feet[h] <= 1 and feet[j] <= 1 and len(footed) == (
+                (feet[h] > 0) + (feet[i] > 0) + (feet[j] > 0)):
+            return CycleFeetShape(True, cyc, feet, (cyc[h], cyc[i], cyc[j]))
     return CycleFeetShape(True, cyc, feet, None,
                           reason="no consecutive triple captures all feet")
 

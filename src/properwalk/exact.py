@@ -62,7 +62,7 @@ from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, product
 from operator import or_
 
-from .graphs import Digraph, EdgeColoring, Graph
+from .graphs import Digraph, EdgeColoring, Graph, _reached, canonical_edge
 from .verify import _first_path_failure, verify_all_pairs, verify_all_pairs_directed
 
 
@@ -502,81 +502,70 @@ def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
 # Small-graph iterators (test support)
 # ---------------------------------------------------------------------------
 
-def _connected_edge_list(n, edges) -> bool:
-    parent = list(range(n))
+def _at_least_one_vertex(n):
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    comps = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
+def _connected_subgraphs(n, edge_lists):
+    """Graph(n, edges) for each subset of each list, in the order of its bit
+    mask, that connects all n vertices."""
+    for pairs in edge_lists:
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            adj = [[] for _ in range(n)]
+            for u, v in edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            if len(_reached(adj.__getitem__, 0)) == n:
+                yield Graph(n, edges)
 
 
 def connected_graphs(n: int):
-    """All labeled connected graphs on exactly n vertices (desk scale)."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if _connected_edge_list(n, edges):
-            yield Graph(n, edges)
+    """All labeled connected graphs on exactly n vertices (desk scale).
+    Raises ValueError at the call when n < 1."""
+    _at_least_one_vertex(n)
+    return _connected_subgraphs(n, [list(combinations(range(n), 2))])
 
 
 def connected_bipartite_graphs(n: int):
     """All labeled connected bipartite graphs on exactly n vertices.
+    Raises ValueError at the call when n < 1.
 
     Enumerates the side containing vertex 0 and all cross-edge subsets; a
     connected bipartite graph has a unique bipartition, so each graph shows
     up exactly once.
     """
-    if n == 1:
-        yield Graph(1)
-        return
-    others = list(range(1, n))
-    for pick in range(1 << (n - 1)):
-        side0 = [0] + [others[i] for i in range(n - 1) if pick >> i & 1]
-        side1 = [v for v in others if v not in side0]
-        if not side1:
-            continue
-        cross = [(min(a, b), max(a, b)) for a in side0 for b in side1]
-        cross.sort()
-        for mask in range(1 << len(cross)):
-            edges = [cross[i] for i in range(len(cross)) if mask >> i & 1]
-            if _connected_edge_list(n, edges):
-                yield Graph(n, edges)
+    _at_least_one_vertex(n)
+    sides = [{0} | {v for v in range(1, n) if pick >> (v - 1) & 1} for pick in range(1 << (n - 1))]
+    crossing = [sorted(canonical_edge(a, b) for a in side for b in range(n) if b not in side)
+                for side in sides]
+    return _connected_subgraphs(n, crossing)
 
 
 def labeled_trees(n: int):
-    """All labeled trees on n vertices, decoded from Pruefer sequences."""
+    """All labeled trees on n vertices, decoded from Pruefer sequences.
+    Raises ValueError at the call when n < 1."""
+    _at_least_one_vertex(n)
     if n == 1:
-        yield Graph(1)
-        return
-    if n == 2:
-        yield Graph(2, [(0, 1)])
-        return
-    for seq in product(range(n), repeat=n - 2):
-        deg = [1] * n
-        for x in seq:
-            deg[x] += 1
-        edges = []
-        # classic decode: repeatedly join the smallest leaf to the next
-        # sequence element
-        heap = [v for v in range(n) if deg[v] == 1]
-        heapq.heapify(heap)
-        for x in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((leaf, x))
-            deg[x] -= 1
-            if deg[x] == 1:
-                heapq.heappush(heap, x)
-        a = heapq.heappop(heap)
-        b = heapq.heappop(heap)
-        edges.append((a, b))
-        yield Graph(n, edges)
+        return iter([Graph(1)])
+    return map(partial(_pruefer_tree, n), product(range(n), repeat=n - 2))
+
+
+def _pruefer_tree(n, seq):
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    edges = []
+    # classic decode: repeatedly join the smallest leaf to the next
+    # sequence element
+    heap = [v for v in range(n) if deg[v] == 1]
+    heapq.heapify(heap)
+    for x in seq:
+        leaf = heapq.heappop(heap)
+        edges.append((leaf, x))
+        deg[x] -= 1
+        if deg[x] == 1:
+            heapq.heappush(heap, x)
+    edges.append((heapq.heappop(heap), heapq.heappop(heap)))
+    return Graph(n, edges)

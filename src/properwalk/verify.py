@@ -6,16 +6,17 @@ state (x, last) steps to (y, col) along every edge x-y of color col != last.
 
 - The all-pairs check, ``_first_failure``, makes one pass of Tarjan's
   strongly connected components algorithm over that digraph (Tarjan 1972).
-  Both public all-pairs verifiers and the exact search's per-coloring
-  check call it.  An SCC closes only after every SCC it points to, so its
-  reach, the set of vertices of the states it can reach, is an n-bit
-  Python int: its own vertices OR the reach of its successor SCCs
-  (transitive closure through the condensation, Purdom 1970).  The pass
-  takes O(k*m) state and arc steps, each arc step at most one OR of n-bit
-  ints, and holds one n-bit int per SCC (at most n*k SCCs, since there are
-  at most n*k states).
-- The pairwise walk checks run a BFS over the same states and return a
-  witness walk.
+  Both public all-pairs verifiers call it, and the exact search re-checks
+  each of its witnesses with them; the search's own per-coloring check is
+  its block kernel, which shares no code with this module.  An SCC closes
+  only after every SCC it points to, so its reach, the set of vertices of
+  the states it can reach, is an n-bit Python int: its own vertices OR the
+  reach of its successor SCCs (transitive closure through the
+  condensation, Purdom 1970).  The pass takes O(k*m) state and arc steps,
+  each arc step at most one OR of n-bit ints, and holds one n-bit int per
+  SCC (at most n*k SCCs, since there are at most n*k states).
+- The pairwise walk checks run one BFS over the same states, from a
+  virtual state (u, 0) that no edge enters, and return a witness walk.
 - The path variants do exhaustive simple-path search and are guarded to desk
   scale.
 """
@@ -54,39 +55,33 @@ def _colored_adjacency(g: Graph | Digraph, c: EdgeColoring):
 
 
 def _state_search(adj, u, v, start_colors, end_colors):
-    """BFS over (vertex, last color) states; returns a witness vertex tuple
-    or None.  Never uses the empty walk."""
-    parent = {}
-    queue = deque()
-    for y, col in adj[u]:
-        if start_colors is not None and col not in start_colors:
-            continue
-        state = (y, col)
-        if state not in parent:
-            parent[state] = None
-            if y == v and (end_colors is None or col in end_colors):
-                return _rebuild(parent, state, u)
-            queue.append(state)
+    """BFS over (vertex, last color) states from the virtual state (u, 0);
+    ``start_colors`` filters that state's steps alone.  Returns a witness
+    vertex tuple or None.  Never uses the empty walk."""
+    root = (u, 0)
+    parent = {root: None}
+    queue = deque([root])
     while queue:
-        x, last = queue.popleft()
+        state = queue.popleft()
+        x, last = state
+        only = start_colors if state is root else None
         for y, col in adj[x]:
-            if col == last:
+            if col == last or only is not None and col not in only:
                 continue
-            state = (y, col)
-            if state not in parent:
-                parent[state] = (x, last)
+            step = (y, col)
+            if step not in parent:
+                parent[step] = state
                 if y == v and (end_colors is None or col in end_colors):
-                    return _rebuild(parent, state, u)
-                queue.append(state)
+                    return _rebuild(parent, step)
+                queue.append(step)
     return None
 
 
-def _rebuild(parent, state, u):
+def _rebuild(parent, state):
     out = []
     while state is not None:
         out.append(state[0])
         state = parent[state]
-    out.append(u)
     return tuple(reversed(out))
 
 
@@ -137,17 +132,17 @@ def _first_failure(adj, k):
     src reaches u, and the pair found has src < v.
     """
     full = (1 << len(adj)) - 1
-    for src, reach in _walk_reach(adj, k, range(len(adj))):
+    for src, reach in _walk_reach(adj, k):
         missing = full ^ reach
         if missing:
             return src, _lowest_bit(missing)
     return None
 
 
-def _walk_reach(adj, k, sources):
-    """Yield (src, reach) for each source in order, where bit v of ``reach``
-    is set when a properly colored walk runs from src to v; bit src is
-    always set (the empty walk).
+def _walk_reach(adj, k):
+    """Yield (src, reach) for every vertex src in order, where bit v of
+    ``reach`` is set when a properly colored walk runs from src to v; bit
+    src is always set (the empty walk).
 
     ``adj[x]`` lists (y, col) for the edges or arcs leaving x, with colors in
     1..k.  State (y, col) has id y*(k+1)+col; its arcs are generated from
@@ -160,7 +155,7 @@ def _walk_reach(adj, k, sources):
     num = {}        # DFS number of every state reached so far
     reach = {}      # closed state -> reach of its SCC
     tstack = []     # Tarjan's stack of states whose SCC is still open
-    for src in sources:
+    for src in range(len(adj)):
         got = 1 << src
         for y, col in adj[src]:
             state = y * width + col

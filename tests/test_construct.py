@@ -1,6 +1,9 @@
 import os
+import random
 import subprocess
 import sys
+import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from properwalk import (ConditionViolation, CycleFeetShape, Graph,
                         disjoint_odd_cycles, exact_pw, path_graph, pw_auto,
                         random_connected, reduce_theta, star, theta,
                         two_triangles_shared_vertex, verify_all_pairs)
-from properwalk.graphs import canonical_edge
+from properwalk.graphs import _steps, canonical_edge
 
 
 def petersen():
@@ -463,6 +466,40 @@ class TestCycleFeet:
             shape = classify_cycle_feet(g)
             assert shape.two_colors, (n, feet)
             assert color_cycle_feet2(g, shape).k == 2
+
+    def test_long_cycle_in_one_pass(self):
+        # the feet hang off the last cycle vertex, so rescanning the cycle
+        # for each middle vertex tried before it is quadratic in its length;
+        # one walk around the cycle is linear
+        t0 = time.perf_counter()
+        shape = classify_cycle_feet(cycle_with_feet(20_001, [0] * 20_000 + [2]))
+        assert time.perf_counter() - t0 < 1.0
+        assert shape.witness == (19_999, 20_000, 0)
+        res = pw_auto(cycle_with_feet(9_999, [0] * 9_998 + [2]))
+        assert (res.k, res.status, res.provenance) == (2, "exact", "cycle with feet")
+
+    def test_matches_every_middle_vertex_in_turn(self):
+        # against the rule tried at every cycle position in order, on every
+        # cycle with at most two feet per vertex up to length 7, relabeled
+        rng = random.Random(7)
+        for length in (3, 5, 7):
+            for feet in product(range(3), repeat=length):
+                base = cycle_with_feet(length, list(feet))
+                label = rng.sample(range(base.n), base.n)
+                g = Graph(base.n, [(label[a], label[b]) for a, b in base.edges])
+                shape = classify_cycle_feet(g)
+                if not any(feet):
+                    assert not shape.member
+                    continue
+                cyc = shape.cycle
+                assert sorted(cyc) == sorted(label[:length]) and cyc[0] == min(cyc)
+                assert cyc[1] < cyc[-1] and all(g.has_edge(a, b) for a, b in _steps(cyc, True))
+                count = tuple(feet[label.index(v)] for v in cyc)
+                triples = [((i - 1) % length, i, (i + 1) % length) for i in range(length)]
+                want = next((tuple(cyc[j] for j in t) for t in triples
+                             if count[t[0]] <= 1 and count[t[2]] <= 1
+                             and not any(count[j] for j in range(length) if j not in t)), None)
+                assert (shape.member, shape.feet, shape.witness) == (True, count, want)
 
     def test_witness_required(self):
         g = cycle_with_feet(3, [2, 2, 0])

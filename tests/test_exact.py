@@ -19,6 +19,19 @@ from properwalk import (BudgetExceededError, Digraph, EdgeColoring, Graph,
 from properwalk.verify import _first_failure, _first_path_failure
 
 
+@pytest.fixture(autouse=True)
+def checked_kernel(monkeypatch):
+    """Every kernel call in this module, the searches' own included, checks
+    its layout first (assert_layout): a bad layout fails the test instead
+    of making the kernel sweep forever."""
+    kernel = exact._block_ok
+
+    def checked(k, core, picks, live, order, peel):
+        assert_layout(core, order, peel)
+        return kernel(k, core, picks, live, order, peel)
+    monkeypatch.setattr(exact, "_block_ok", checked)
+
+
 def unpruned_minimum(g, max_k):
     """Independent oracle: try every coloring (no symmetry reduction)."""
     for k in range(1, max_k + 1):
@@ -292,9 +305,16 @@ class TestIterators:
 
     def test_bipartite_iterator_sound_and_complete(self):
         from properwalk import bipartition
-        got = set(connected_bipartite_graphs(5))
-        expect = {g for g in connected_graphs(5) if bipartition(g) is not None}
-        assert got == expect
+        for n in range(1, 6):
+            got = list(connected_bipartite_graphs(n))
+            expect = {g for g in connected_graphs(n) if bipartition(g) is not None}
+            assert len(got) == len(expect) and set(got) == expect
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices_rejected_at_the_call(self, n):
+        for iterator in (connected_graphs, connected_bipartite_graphs, labeled_trees):
+            with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+                iterator(n)
 
 
 def scc_digraphs(max_n):
@@ -346,11 +366,22 @@ def layouts(nbrs, bidirectional):
     """The (table, order, peel) arguments of exact._block_ok that must give
     the same lanes: every arc swept in vertex order with no peel, and on a
     graph the search's layout, the pendant trees peeled and the core swept
-    in breadth-first order."""
-    yield nbrs, range(len(nbrs)), []
+    in breadth-first order.  Each is checked by assert_layout first."""
+    yield assert_layout(nbrs, range(len(nbrs)), [])
     if bidirectional:
         core, peel = exact._peel(nbrs)
-        yield core, [a for a in exact._bfs_order(core) if core[a]], peel
+        yield assert_layout(core, [a for a in exact._bfs_order(core) if core[a]], peel)
+
+
+def assert_layout(table, order, peel):
+    """The kernel sweeps while any vertex is dirty but visits only the tails
+    in order, so a layout that breaks one of these would make it sweep
+    forever: every tail with arcs is in order, every head of an arc has
+    arcs, and every peeled vertex has none."""
+    assert {a for a, row in enumerate(table) if row} <= set(order), (table, order)
+    assert all(table[b] for row in table for b, _ in row), table
+    assert not any(table[t] for t, _, _ in peel), (table, peel)
+    return table, order, peel
 
 
 class TestBlockKernel:
@@ -541,6 +572,7 @@ class TestPeel:
     @staticmethod
     def peel(g):
         nbrs = exact._neighbor_table(g.n, g.edges, True)
+        assert len(list(layouts(nbrs, True))) == 2
         core, peel = exact._peel(nbrs)
         removed = [t for t, _, _ in peel]
         assert len(set(removed)) == len(removed)
@@ -579,6 +611,11 @@ class TestPeel:
         # two cycles joined by a path keep the path: no vertex of it is a leaf
         g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)])
         assert self.peel(g) == (set(range(8)), [])
+
+    def test_layout_of_every_small_graph(self):
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                assert len(list(layouts(exact._neighbor_table(n, g.edges, True), True))) == 2
 
     def test_one_and_two_vertices(self):
         assert exact._peel([[]]) == ([[]], [])

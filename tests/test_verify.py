@@ -13,7 +13,7 @@ from properwalk import (Digraph, EdgeColoring, Graph, bipartition,
                         random_connected, star, verify_all_pairs,
                         verify_all_pairs_directed, walk_reachable,
                         walk_reachable_directed)
-from properwalk.graphs import ColoringMismatchError
+from properwalk.graphs import ColoringMismatchError, Walk
 
 
 def naive_walk_exists(g, coloring, u, v, max_len):
@@ -100,7 +100,8 @@ class TestWalkReachable:
     def test_color_constraints(self):
         g = path_graph(3)
         col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2})
-        assert walk_reachable(g, col, 0, 2, start_colors={1}, end_colors={2})[0]
+        assert walk_reachable(g, col, 0, 2, start_colors={1}, end_colors={2}) == (
+            True, Walk((0, 1, 2)))
         assert not walk_reachable(g, col, 0, 2, start_colors={2})[0]
         assert not walk_reachable(g, col, 0, 2, end_colors={1})[0]
 
@@ -109,6 +110,40 @@ class TestWalkReachable:
         col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
         ok, w = walk_reachable(g, col, 0, 0, start_colors={1}, end_colors={2})
         assert ok and w.num_edges >= 1 and w.is_properly_colored(col)
+        # start_colors binds the first step alone, and a closed walk asked
+        # for with a constraint is never the empty walk
+        assert w.vertices == (0, 1, 2, 3, 0)
+        assert walk_reachable(g, col, 0, 0, start_colors={2})[1].vertices == (0, 3, 2, 1, 0)
+        assert walk_reachable(g, col, 0, 0, end_colors={1})[1].vertices == (0, 3, 2, 1, 0)
+        assert walk_reachable(g, col, 0, 0, start_colors={1}, end_colors={1}) == (False, None)
+
+    # a triangle 0 1 2 colored 1, 2, 3 around with a pendant edge 2-3 of
+    # color 1, and the bowtie digraph colored 1 2 1 on one triangle and
+    # 2 1 2 on the other: the BFS's witnesses, shortest and first found
+    TRIANGLE_LEG = (Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+                    {(0, 1): 1, (1, 2): 2, (0, 2): 3, (2, 3): 1}, 3)
+    BOWTIE = (bowtie_digraph(),
+              {(0, 1): 1, (1, 2): 2, (2, 0): 1, (0, 3): 2, (3, 4): 1, (4, 0): 2}, 2)
+
+    @pytest.mark.parametrize("graph, u, v, start, end, witness", [
+        (TRIANGLE_LEG, 3, 3, None, None, (3,)),
+        (TRIANGLE_LEG, 3, 3, {1}, None, (3, 2, 0, 1, 2, 3)),
+        (TRIANGLE_LEG, 3, 3, {1}, {1}, (3, 2, 0, 1, 2, 3)),
+        (TRIANGLE_LEG, 2, 2, {2}, {3}, (2, 1, 0, 2)),
+        (TRIANGLE_LEG, 2, 2, None, {1}, None),
+        (TRIANGLE_LEG, 0, 3, {3}, None, (0, 2, 3)),
+        (TRIANGLE_LEG, 0, 3, {1}, {1}, (0, 1, 2, 3)),
+        (TRIANGLE_LEG, 1, 0, {1, 2}, {3}, (1, 2, 0)),
+        (BOWTIE, 1, 4, None, None, (1, 2, 0, 3, 4)),
+        (BOWTIE, 0, 0, {1}, None, (0, 1, 2, 0)),
+        (BOWTIE, 0, 0, {2}, {2}, (0, 3, 4, 0)),
+        (BOWTIE, 2, 3, None, {2}, (2, 0, 3)),
+        (BOWTIE, 3, 1, {1}, {1}, (3, 4, 0, 1)),
+    ])
+    def test_pinned_witnesses(self, graph, u, v, start, end, witness):
+        g, colors, k = graph
+        got = walk_reachable(g, EdgeColoring(k, colors), u, v, start, end)
+        assert got == (witness is not None, witness and Walk(witness))
 
     def test_unknown_vertex(self):
         g = path_graph(2)
@@ -222,7 +257,7 @@ class TestPathReachable:
                     for (a, b), col in zip(g.edges, colors):
                         adj[a].append((b, col))
                         adj[b].append((a, col))
-                    for u, walk_ok in _walk_reach(adj, 2, range(n)):
+                    for u, walk_ok in _walk_reach(adj, 2):
                         for v in range(u + 1, n):
                             path_ok = _path_dfs(adj, u, v, 1 << u, 0)
                             assert bool(walk_ok >> v & 1) == path_ok
