@@ -15,6 +15,7 @@ shortest odd cycles, per block and of the whole graph, are computed lazily
 and at most once.
 
 ``_layers`` is the one BFS layering (every vertex class, the
+``shortest_odd_cycle`` cover), ``_ball`` the one depth-cut BFS (the
 ``shortest_odd_cycle`` starts), ``_bfs_forest`` the one forest BFS (the
 ``cycle_connector`` path, the constructions' trees and pendant forests).
 
@@ -113,7 +114,7 @@ def _low_link(g: Graph):
                     arcs = tuple(edge_stack[i:])
                     del edge_stack[i:]
                     found.append((frozenset(chain.from_iterable(arcs)), arcs))
-    found.sort(key=lambda f: (min(f[0]), sorted(f[0])))
+    found.sort(key=lambda f: sorted(f[0]))
     cores.sort(key=min)
     return tuple(f[0] for f in found), tuple(f[1] for f in found), cores
 
@@ -149,8 +150,8 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     exists.  The classes are the parities of the ``_layers`` depths, so the
     lowest id of each component lands in the first class; an edge inside one
     layer closes an odd cycle."""
-    depth, ends = _layers(g)
-    return None if ends else _parity_classes(depth)
+    depth, cover = _layers(g)
+    return None if cover else _parity_classes(depth)
 
 
 def _parity_classes(depth) -> tuple[frozenset[int], frozenset[int]]:
@@ -171,44 +172,48 @@ def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     odd closed walk has length L, found in two steps.
 
     1. The odd girth.  Each component is laid out in BFS layers from its
-       lowest vertex.  An edge between adjacent layers changes the layer
-       parity and a closed walk changes it an even number of times, so every
-       odd cycle has an edge inside one layer.  A shortest odd cycle thus
-       passes through an endpoint of such an edge, and L is the least
-       length found by the double-cover BFS from those endpoints, each run
-       cut off at the best length so far.  With no such edge the graph is
+       lowest vertex, and ``_layers`` gives a vertex cover of the edges
+       inside one layer.  L is the least length found by the double-cover
+       BFS from the cover vertices, each run cut off at the best length so
+       far.  It is the odd girth: an edge between adjacent layers changes
+       the layer parity and a closed walk changes it an even number of
+       times, so a shortest odd cycle has an edge inside one layer, hence a
+       cover vertex, whose run attains L.  With an empty cover the graph is
        bipartite, and no BFS runs at all: O(n + m).
-    2. The start.  s = 0, 1, ... is tried in turn, with the BFS cut off at
-       depth L, and the first s that reaches (s, 1) is the start.  Its run
-       stops at that first reach, so the parent map holds exactly what an
-       uncut BFS from s holds at that moment.  A search that tries every
-       start in turn, each run cut off at the best length so far, also
-       keeps the first start that attains L and reads its cycle from the
-       same parent map, so the two return the same cycle.
+    2. The start.  The vertices within (L - 1) / 2 of the cover, found by
+       one multi-source BFS, are tried in increasing order, with the BFS
+       cut off at depth L; the first s that reaches (s, 1) is the start.
+       No start that attains L is skipped: every vertex of a shortest odd
+       cycle is at most (L - 1) / 2 steps along it from its cover vertex.
+       The run from s stops at that first reach, so the parent map holds
+       exactly what an uncut BFS from s holds at that moment.  A search
+       that tries every start in turn, each run cut off at the best length
+       so far, also keeps the first start that attains L and reads its
+       cycle from the same parent map, so the two return the same cycle.
 
-    Step 1 runs few BFS: on a long odd cycle two endpoints, on dense graphs
-    a short L cuts every run early.  Step 2 costs one BFS of depth L per
-    vertex below the start, so the worst case stays O(n*m), the classic
-    bound for shortest cycles (Itai and Rodeh 1978): a long odd cycle on
-    the highest vertex ids joined to a dense bipartite block on the lowest
-    ones, for instance, makes every block vertex's run cover the block.
+    Step 1 runs few BFS: on a long odd cycle one, on dense graphs a short
+    L cuts every run early.  Step 2 costs one BFS of depth L per start
+    tried, so the worst case stays O(n*m), the classic bound for shortest
+    cycles (Itai and Rodeh 1978), but only vertices near an edge inside a
+    layer are tried.
     """
     return _shortest_odd_cycle(g, _layers(g)[1])
 
 
-def _shortest_odd_cycle(g: Graph, ends) -> tuple[int, ...] | None:
-    """``shortest_odd_cycle`` from the intra-layer ends ``_layers`` gave."""
-    if not ends:
+def _shortest_odd_cycle(g: Graph, cover) -> tuple[int, ...] | None:
+    """``shortest_odd_cycle`` from the cover of the intra-layer edges that
+    ``_layers`` gave."""
+    if not cover:
         return None
     limit = 2 * g.n             # beyond any shortest odd closed walk
-    for v in ends:
+    for v in cover:
         found = _odd_walk(g, v, limit)
         if found is not None:
             girth = found[0]
             limit = girth - 2
             if limit < 3:       # no odd cycle is shorter than a triangle
                 break
-    for s in range(g.n):
+    for s in sorted(_ball(g, cover, girth // 2)):
         found = _odd_walk(g, s, girth)
         if found is not None:
             break
@@ -228,10 +233,12 @@ def _shortest_odd_cycle(g: Graph, ends) -> tuple[int, ...] | None:
 
 def _layers(g: Graph) -> tuple[list[int], list[int]]:
     """The one BFS layering: each component is laid out in layers from its
-    lowest vertex.  Returns the depth of every vertex and, in order, the
-    endpoints of the edges inside one layer."""
+    lowest vertex.  Returns the depth of every vertex and, in order, a
+    vertex cover of the edges inside one layer: the endpoint expanded first
+    joins it unless the other one already has.  It is empty exactly when
+    the graph is bipartite."""
     depth = [-1] * g.n
-    ends = set()
+    cover = set()
     for root in range(g.n):
         if depth[root] >= 0:
             continue
@@ -242,9 +249,25 @@ def _layers(g: Graph) -> tuple[list[int], list[int]]:
                 if depth[y] < 0:
                     depth[y] = depth[x] + 1
                     queue.append(y)
-                elif depth[y] == depth[x]:
-                    ends.add(x)
-    return depth, sorted(ends)
+                elif depth[y] == depth[x] and y not in cover:
+                    cover.add(x)
+    return depth, sorted(cover)
+
+
+def _ball(g: Graph, sources, radius: int) -> set[int]:
+    """The vertices at most ``radius`` steps from ``sources``, by one
+    multi-source BFS cut off at that depth."""
+    seen = set(sources)
+    frontier = list(seen)
+    for _ in range(radius):
+        reached = []
+        for x in frontier:
+            for y in g.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+        frontier = reached
+    return seen
 
 
 def _bfs_forest(g: Graph, roots, skip=frozenset()):
@@ -423,17 +446,24 @@ def _disjoint_odd_cycles(g: Graph, dec: Decomposition):
         # Two nonbipartite blocks give cycles in different blocks immediately.
         (_, c1), (_, c2) = found
     else:
-        # Otherwise remove a shortest odd cycle and search the remainder.
-        # With one odd block it is the block's cycle: the other blocks are
-        # bipartite, so a walk that leaves the block comes back at the same
-        # parity, and the whole graph's search would find the same cycle.
+        # Otherwise remove the one odd block's shortest odd cycle and search
+        # the rest of that block.  The other blocks are bipartite, so every
+        # odd cycle of the graph minus c1 lies in the block, and a BFS
+        # excursion out of it comes back through the same cut vertex at the
+        # same parity, never reaching a block state first: the whole graph's
+        # search would find the same cycles.
         if not found:
             return None
-        c1 = found[0][1]
+        blk, c1 = found[0]
         used = _cycle_edges(c1)
-        c2 = shortest_odd_cycle(Graph(g.n, [e for e in g.edges if e not in used]))
+        old = sorted(blk)
+        index = {v: i for i, v in enumerate(old)}
+        c2 = shortest_odd_cycle(Graph.__new__(Graph)._build(len(old), [
+            (index[u], index[v]) for u, v in g.edges
+            if u in index and v in index and (u, v) not in used]))
         if c2 is None:
             return None
+        c2 = tuple(old[v] for v in c2)
     return _connect(g, c1, c2)
 
 
@@ -467,9 +497,10 @@ class Decomposition:
     connected graph; the bipartition, contraction and odd cycles are
     computed on demand.  ``arcs`` holds each block's edges as the
     ``_low_link`` DFS oriented them, aligned with ``blocks``.  ``depth`` and
-    ``ends`` are its ``_layers``; on a bipartite block the depth parities are
-    the block's classes up to one swap, as shortest paths from vertex 0 enter
-    it at one cut vertex."""
+    ``ends`` are its ``_layers``: ``ends`` is the vertex cover of the edges
+    inside one layer, empty exactly when the graph is bipartite.  On a
+    bipartite block the depth parities are the block's classes up to one
+    swap, as shortest paths from vertex 0 enter it at one cut vertex."""
 
     bridges: frozenset[tuple[int, int]]
     blocks: tuple[frozenset[int], ...]

@@ -74,8 +74,15 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
+        self._build(n, sorted(seen))
+
+    def _build(self, n: int, edges) -> "Graph":
+        """Fill in this graph from edges that are already canonical, unique
+        and sorted, with no check; returns it.  ``__init__`` calls it after
+        validating, and copies filtered from a valid graph through an
+        order-preserving relabeling call it on ``Graph.__new__(Graph)``."""
         self.n = n
-        self.edges = tuple(sorted(seen))
+        self.edges = tuple(edges)
         # sorted edges list each vertex's lower neighbors in increasing
         # order, then its higher ones: every list comes out sorted
         adj = [[] for _ in range(n)]
@@ -84,6 +91,7 @@ class Graph:
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
         self._connected = None
+        return self
 
     @property
     def m(self) -> int:
@@ -120,7 +128,7 @@ class Graph:
         index = {v: i for i, v in enumerate(old)}
         sub_edges = [(index[u], index[v]) for u, v in self.edges
                      if u in index and v in index]
-        return Graph(len(old), sub_edges), old
+        return Graph.__new__(Graph)._build(len(old), sub_edges), old
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

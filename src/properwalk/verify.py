@@ -38,20 +38,31 @@ def _check_vertex(g, v):
 def _colored_adjacency(g: Graph | Digraph, c: EdgeColoring):
     """Sorted (y, color) lists per vertex: both directions of each edge of a
     graph, the out-arcs of a digraph.  The edges are sorted, so each list
-    comes out sorted, as in Graph.  ``c`` must have passed validate_for(g):
-    a graph's edge may be keyed in either orientation."""
+    comes out sorted, as in Graph.
+
+    The coloring is checked in the same pass, and the adjacency raises what
+    ``c.validate_for(g)`` raises: it is total and exact exactly when every
+    edge or arc is found (a graph's edge keyed in either orientation) and
+    there are m keys, for m found keys are distinct and none is left over."""
     adj = [[] for _ in range(g.n)]
     a = c.assignment
-    if isinstance(g, Digraph):
-        for u, v in g.arcs:
-            adj[u].append((v, a[(u, v)]))
+    try:
+        if isinstance(g, Digraph):
+            for u, v in g.arcs:
+                adj[u].append((v, a[(u, v)]))
+        else:
+            for e in g.edges:
+                u, v = e
+                col = a.get(e) or a[(v, u)]
+                adj[u].append((v, col))
+                adj[v].append((u, col))
+    except KeyError:
+        pass
     else:
-        for e in g.edges:
-            u, v = e
-            col = a.get(e) or a[(v, u)]
-            adj[u].append((v, col))
-            adj[v].append((u, col))
-    return adj
+        if len(a) == g.m:
+            return adj
+    c.validate_for(g)
+    raise AssertionError("validate_for accepted a coloring the adjacency pass rejected")
 
 
 def _state_search(adj, u, v, start_colors, end_colors):
@@ -93,13 +104,12 @@ def walk_reachable(g: Graph | Digraph, c: EdgeColoring, u: int, v: int,
 
     Returns (answer, witness); the witness has at most n*k edges.
     """
-    c.validate_for(g)
+    adj = _colored_adjacency(g, c)
     _check_vertex(g, u)
     _check_vertex(g, v)
     if u == v and start_colors is None and end_colors is None:
         return True, Walk((u,))
-    witness = _state_search(_colored_adjacency(g, c), u, v,
-                            _as_color_set(start_colors), _as_color_set(end_colors))
+    witness = _state_search(adj, u, v, _as_color_set(start_colors), _as_color_set(end_colors))
     if witness is None:
         return False, None
     return True, Walk(witness)
@@ -117,7 +127,6 @@ def verify_all_pairs(g: Graph, c: EdgeColoring) -> tuple[bool, tuple[int, int] |
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    c.validate_for(g)
     pair = _first_failure(_colored_adjacency(g, c), c.k)
     return pair is None, pair
 
@@ -244,7 +253,6 @@ def _path_adjacency(g, c: EdgeColoring):
     digraph), after the size guard and the coloring check."""
     if g.n > PATH_SEARCH_LIMIT:
         raise ValueError(f"path search is limited to {PATH_SEARCH_LIMIT} vertices")
-    c.validate_for(g)
     return _colored_adjacency(g, c)
 
 
@@ -270,7 +278,6 @@ def verify_all_pairs_directed(d: Digraph, c: EdgeColoring) -> tuple[bool, tuple[
     The same SCC pass as ``verify_all_pairs``, over the arc states; on
     failure returns the lexicographically first failing ordered pair.
     """
-    c.validate_for(d)
     pair = _first_failure(_colored_adjacency(d, c), c.k)
     return pair is None, pair
 

@@ -256,6 +256,24 @@ class TestVerify:
         code, _, err = run("verify", gpath, cpath)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("graph, colors, flags, err", [
+        ("0 1\n1 2\n2 3\n0 3\n", "0 1 1\n1 2 2\n2 3 1\n", (),
+         "uncolored edges: [(0, 3)]"),
+        ("0 1\n1 2\n2 3\n0 3\n", "0 1 1\n1 2 2\n2 3 1\n0 3 2\n0 2 1\n", (),
+         "colored edges absent from graph: [(0, 2)]"),
+        ("0 1\n1 2\n2 0\n", "0 1 1\n1 2 2\n", ("--directed",),
+         "uncolored edges: [(2, 0)]"),
+        ("0 1\n1 2\n2 0\n", "0 1 1\n1 2 2\n0 2 1\n", ("--directed",),
+         "uncolored edges: [(2, 0)]"),
+    ])
+    @pytest.mark.parametrize("mode", [(), ("--path",), ("--pair", "0", "0"), ("--pair", "0", "2"),
+                                      ("--pair", "0", "2", "--path")])
+    def test_coloring_mismatch_message(self, run, tmp_path, graph, colors, flags, err, mode):
+        # verify's adjacency pass raises what validate_for raises, in every mode
+        gpath = write(tmp_path, "g.txt", graph)
+        cpath = write(tmp_path, "c.txt", "k 2\n" + colors)
+        assert run("verify", gpath, cpath, *flags, *mode) == (2, "", f"error: {err}\n")
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_path_mode_checks_coloring_without_pairs(self, run, tmp_path, directed):
         # one vertex has no pairs to search, but a coloring of an absent

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
@@ -10,7 +10,7 @@ from properwalk import decompose
 from properwalk import (Graph, bipartition, blocks, bridgeless_core, bridges,
                         complete, connected_graphs, contract_core_graph,
                         cycle, disjoint_odd_cycles, meets_two_bridge_rule,
-                        path_graph, random_connected, shortest_odd_cycle, star, theta,
+                        path_graph, pw_auto, random_connected, shortest_odd_cycle, star, theta,
                         two_disjoint_paths, two_triangles_shared_vertex)
 from properwalk.graphs import canonical_edge
 
@@ -177,6 +177,15 @@ def grid(rows, cols):
                                for r in range(rows) for c in range(cols - 1)]
                  + [(r * cols + c, (r + 1) * cols + c)
                     for r in range(rows - 1) for c in range(cols)])
+
+
+def dense_block_with_cycle(a, length):
+    """K_{a,a} on vertices 0..2a-1 and C_length on the ids above, joined by
+    the edges (a - 2, 2a) and (a - 1, 2a + length // 2): one block, whose
+    shortest odd cycle runs through both joins."""
+    return Graph(2 * a + length, [(u, a + v) for u in range(a) for v in range(a)]
+                 + [(2 * a + i, 2 * a + (i + 1) % length) for i in range(length)]
+                 + [(a - 2, 2 * a), (a - 1, 2 * a + length // 2)])
 
 
 def count_walks(monkeypatch):
@@ -403,12 +412,7 @@ class TestShortestOddCycle:
             # a triangle on the highest ids, behind a long path from vertex 0
             graphs.append(Graph(length + 3, [(i, i + 1) for i in range(length + 2)]
                                 + [(length, length + 2)]))
-        for a in (3, 6):
-            # K_{a,a} on the lowest ids and C_15 on the highest, joined from
-            # a - 2 and a - 1: every block vertex below a - 2 is scanned first
-            graphs.append(Graph(2 * a + 15, [(u, a + v) for u in range(a) for v in range(a)]
-                                + [(2 * a + i, 2 * a + (i + 1) % 15) for i in range(15)]
-                                + [(a - 2, 2 * a), (a - 1, 2 * a + 7)]))
+        graphs += [dense_block_with_cycle(a, 15) for a in (3, 6)]
         for g in graphs:
             assert shortest_odd_cycle(g) == all_starts_odd_cycle(g), g.edges
 
@@ -418,12 +422,29 @@ class TestShortestOddCycle:
             assert shortest_odd_cycle(g) is None
         assert runs == []
 
-    def test_long_odd_cycle_runs_three_walks(self, monkeypatch):
-        # the one edge inside a BFS layer of C_101 joins 50 and 51: one run
-        # from each finds the girth, and start 0 attains it
+    def test_long_odd_cycle_runs_two_walks(self, monkeypatch):
+        # the one edge inside a BFS layer of C_101 joins 50 and 51, and 50,
+        # expanded first, covers it: one run finds the girth, and start 0,
+        # 50 steps from the cover, attains it
         runs = count_walks(monkeypatch)
         assert len(shortest_odd_cycle(cycle(101))) == 101
-        assert runs == [50, 51, 0]
+        assert runs == [50, 0]
+
+    def test_dense_block_below_the_cycle_runs_two_walks(self, monkeypatch):
+        # K_{a,a} on the lowest ids and C_L on the highest, joined from a - 2
+        # and a - 1: the one cover vertex lies on the cycle, and no block
+        # vertex below a - 2 is within (girth - 1) / 2 of it, so none is
+        # tried as a start; pw_auto searches the block and its rest graphs
+        # the same way
+        runs = count_walks(monkeypatch)
+        for a, length in ((3, 15), (6, 15), (100, 101)):
+            g = dense_block_with_cycle(a, length)
+            runs.clear()
+            assert len(shortest_odd_cycle(g)) < length
+            assert len(runs) <= 2, (a, length, runs)
+        runs.clear()
+        assert pw_auto(g).k == 2
+        assert len(runs) <= 4, runs
 
 class TestTwoDisjointPaths:
     def test_complete4(self):
@@ -545,20 +566,78 @@ class TestDisjointOddCycles:
     def test_one_odd_block_skips_the_whole_graph_search(self, monkeypatch):
         # a triangle with a square hung on vertex 2, and K5 with a leaf:
         # each block of 3 or more vertices is searched in its induced copy,
-        # then the graph minus the cycle, never the whole graph
+        # then the odd block minus its cycle, never the whole graph
         runs = []
         real = decompose._shortest_odd_cycle
         monkeypatch.setattr(decompose, "_shortest_odd_cycle",
                             lambda h, ends: runs.append(h) or real(h, ends))
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
         assert disjoint_odd_cycles(g) is None
-        assert [h.n for h in runs] == [3, 4, 6] and g not in runs
+        assert [h.n for h in runs] == [3, 4, 3] and g not in runs
         runs.clear()
         g = Graph(6, complete(5).edges + ((0, 5),))
         c1, c2, conn = disjoint_odd_cycles(g)
         assert {frozenset(c1), frozenset(c2)} == {frozenset({0, 1, 2}), frozenset({0, 3, 4})}
         assert conn == (0,)
-        assert [h.n for h in runs] == [5, 6] and g not in runs
+        assert [h.n for h in runs] == [5, 5] and g not in runs
+
+    def test_one_odd_block_matches_the_whole_graph_search(self):
+        # the second cycle is searched in the odd block minus the first
+        # cycle; the reference searches the whole graph minus its edges
+        def reference(g, c1):
+            used = {canonical_edge(x, c1[i - 1]) for i, x in enumerate(c1)}
+            c2 = shortest_odd_cycle(Graph(g.n, [e for e in g.edges if e not in used]))
+            return c2 and decompose._connect(g, c1, c2)
+
+        def relabeled(n, edges, rng):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+        def random_tree(vs, rng):
+            return [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]
+
+        graphs = [Graph(G.number_of_nodes(), list(G.edges())) for G in nx.graph_atlas_g()
+                  if G.number_of_nodes() >= 3 and nx.is_connected(G)]
+        rng = random.Random(21)
+        for _ in range(300):
+            # a random tree plus up to n / 4 chords
+            n = rng.randint(3, 120)
+            edges = {canonical_edge(*e) for e in random_tree(list(range(n)), rng)}
+            target = n - 1 + rng.randint(1, max(1, n // 4))
+            while len(edges) < target:
+                edges.add(canonical_edge(*rng.sample(range(n), 2)))
+            graphs.append(relabeled(n, sorted(edges), rng))
+        for n in (40, 80, 120, 160, 200):
+            # auto-large's odd_core_trees: an odd cycle on a quarter of the
+            # vertices with random trees hung from it
+            length = (n // 4) | 1
+            edges = [(i, (i + 1) % length) for i in range(length)]
+            nxt = length
+            while nxt < n:
+                size = min(rng.randint(1, 12), n - nxt)
+                edges += random_tree([rng.randrange(length)] + list(range(nxt, nxt + size)), rng)
+                nxt += size
+            graphs.append(relabeled(n, edges, rng))
+            # auto-large's sparse3: a random tree, two planted triangles,
+            # n / 2 chords and a pendant vertex
+            body = list(range(n - 1))
+            edges = {canonical_edge(*e) for e in random_tree(body, rng)}
+            a = rng.sample(body, 6)
+            edges |= {canonical_edge(a[i], a[j]) for i, j in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))}
+            target = len(edges) + n // 2
+            while len(edges) < target:
+                edges.add(canonical_edge(*rng.sample(body, 2)))
+            graphs.append(relabeled(n, sorted(edges) + [(rng.choice(body), n - 1)], rng))
+        checked = found = 0
+        for g in graphs:
+            odd = list(islice(decompose.decomposition(g).odd_blocks(), 2))
+            if len(odd) == 1:
+                got = disjoint_odd_cycles(g)
+                assert got == reference(g, odd[0][1]), (g.n, g.edges)
+                checked += 1
+                found += got is not None
+        assert (checked, found) == (1100, 742)
 
     def test_postconditions_everywhere(self):
         for n in range(3, 7):

@@ -295,7 +295,18 @@ class TestConnectivityCache:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(any_graph(), st.data())
     def test_equality_ignores_the_cache(self, g, data):
-        sub, _ = g.induced(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+        sub, old = g.induced(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+        # induced builds its copy unchecked; the checked constructor, given
+        # the relabeled edges reversed and in reverse order, agrees in every
+        # field, not only in the n and edges that == compares
+        new = {v: i for i, v in enumerate(old)}
+        checked = Graph(len(old), [(new[v], new[u]) for u, v in reversed(g.edges)
+                                   if u in new and v in new])
+        assert sub.edges == checked.edges and sub.n == checked.n
+        assert [sub.neighbors(v) for v in range(sub.n)] == [
+            checked.neighbors(v) for v in range(sub.n)]
+        assert sub.is_connected() is checked.is_connected()
+        sub, _ = g.induced(old)
         fresh = Graph(sub.n, sub.edges)
         assert sub == fresh and hash(sub) == hash(fresh)
         sub.is_connected()          # cache filled on one side only

@@ -63,3 +63,22 @@ def test_exact_search_shares_no_verify_code():
                     and (getattr(exact, name) is verify
                          or getattr(getattr(exact, name), "__module__", None) == verify.__name__))
     assert shared == []
+
+
+def test_unchecked_graph_builder_callers():
+    """``Graph._build`` trusts its edges to be canonical, unique and sorted,
+    so only graphs.py and decompose._disjoint_odd_cycles, whose edges are
+    filtered from a valid graph through an order-preserving relabeling,
+    call it."""
+    calls = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_build":
+                # the innermost function around the call
+                owner = min((fn for fn in funcs if fn.lineno <= node.lineno <= fn.end_lineno),
+                            key=lambda fn: fn.end_lineno - fn.lineno, default=None)
+                calls.append((path.name, owner and owner.name))
+    assert {name for name, _ in calls} == {"graphs.py", "decompose.py"}
+    assert {owner for name, owner in calls if name != "graphs.py"} == {"_disjoint_odd_cycles"}

@@ -387,6 +387,40 @@ class TestFirstPathFailure:
             verify._first_path_failure(path_graph(3), EdgeColoring(1, {(0, 1): 1}))
 
 
+# An edge missing, an extra key, an edge keyed in both orientations; a
+# digraph missing an arc, and one with an arc reversed.  C_4's edges are
+# (0, 1), (0, 3), (1, 2) and (2, 3).
+MALFORMED = [
+    (cycle(4), {(0, 1): 1, (1, 2): 2, (2, 3): 1}),
+    (cycle(4), {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2, (0, 2): 1}),
+    (cycle(4), {(0, 1): 1, (1, 0): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}),
+    (directed_cycle(3), {(0, 1): 1, (1, 2): 2}),
+    (directed_cycle(3), {(0, 1): 1, (1, 2): 2, (0, 2): 1}),
+]
+
+
+@pytest.mark.parametrize("g, assignment", MALFORMED)
+def test_malformed_coloring_raises_what_validate_for_raises(g, assignment):
+    # every entry point checks the coloring in the pass that builds its
+    # adjacency, before the vertex range, and raises exactly what
+    # validate_for raises
+    col = EdgeColoring(2, assignment)
+    with pytest.raises(ColoringMismatchError) as want:
+        col.validate_for(g)
+    full = verify_all_pairs_directed if isinstance(g, Digraph) else verify_all_pairs
+    checks = [lambda: full(g, col),
+              lambda: walk_reachable(g, col, 0, 0),
+              lambda: walk_reachable(g, col, 0, 2, start_colors={1}),
+              lambda: walk_reachable(g, col, 0, g.n),
+              lambda: path_reachable(g, col, 0, 2),
+              lambda: path_reachable(g, col, 0, g.n),
+              lambda: verify._first_path_failure(g, col)]
+    for check in checks:
+        with pytest.raises(ColoringMismatchError) as got:
+            check()
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
 def test_pairs_and_adjacency_stay_in_verify():
     """cli.py and exact.py ask verify for answers; how the vertex pairs are
     enumerated and the colored adjacency is built stays inside verify."""
