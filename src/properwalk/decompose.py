@@ -18,6 +18,8 @@ and at most once.
 ``shortest_odd_cycle`` cover), ``_ball`` the one depth-cut BFS (the
 ``shortest_odd_cycle`` starts), ``_bfs_forest`` the one forest BFS (the
 ``cycle_connector`` path, the constructions' trees and pendant forests).
+These traversals, like ``_low_link`` and ``_odd_walk``, read the graph's
+neighbor tuples (``Graph._adj``) directly, bound once per call.
 
 All operations are pure functions of immutable graphs.  Ties are broken by
 lowest vertex id and lexicographic edge order throughout, so results are
@@ -80,7 +82,8 @@ def _low_link(g: Graph):
     vertex_stack = [0]
     found: list[tuple[frozenset[int], tuple[tuple[int, int], ...]]] = []
     cores: list[frozenset[int]] = []
-    stack = [(0, -1, iter(g.neighbors(0)))]     # (vertex, parent, its neighbors left)
+    adj = g._adj
+    stack = [(0, -1, iter(adj[0]))]     # (vertex, parent, its neighbors left)
     while stack:
         v, parent, rest = stack[-1]
         for w in rest:
@@ -97,7 +100,7 @@ def _low_link(g: Graph):
                 into[w], at[w] = len(edge_stack), len(vertex_stack)
                 edge_stack.append((v, w))
                 vertex_stack.append(w)
-                stack.append((w, v, iter(g.neighbors(w))))
+                stack.append((w, v, iter(adj[w])))
                 break
         else:
             stack.pop()
@@ -237,6 +240,7 @@ def _layers(g: Graph) -> tuple[list[int], list[int]]:
     vertex cover of the edges inside one layer: the endpoint expanded first
     joins it unless the other one already has.  It is empty exactly when
     the graph is bipartite."""
+    adj = g._adj
     depth = [-1] * g.n
     cover = set()
     for root in range(g.n):
@@ -245,7 +249,7 @@ def _layers(g: Graph) -> tuple[list[int], list[int]]:
         depth[root] = 0
         queue = [root]
         for x in queue:
-            for y in g.neighbors(x):
+            for y in adj[x]:
                 if depth[y] < 0:
                     depth[y] = depth[x] + 1
                     queue.append(y)
@@ -257,12 +261,13 @@ def _layers(g: Graph) -> tuple[list[int], list[int]]:
 def _ball(g: Graph, sources, radius: int) -> set[int]:
     """The vertices at most ``radius`` steps from ``sources``, by one
     multi-source BFS cut off at that depth."""
+    adj = g._adj
     seen = set(sources)
     frontier = list(seen)
     for _ in range(radius):
         reached = []
         for x in frontier:
-            for y in g.neighbors(x):
+            for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     reached.append(y)
@@ -274,19 +279,19 @@ def _bfs_forest(g: Graph, roots, skip=frozenset()):
     """The one multi-source BFS forest: (parent map, the vertices it reaches
     in discovery order), from the roots in increasing order.  Roots have no
     parent; ``skip`` vertices are neither visited nor crossed."""
+    adj = g._adj
     parent: dict[int, int] = {}
-    seen = set(roots) | set(skip)
-    order: list[int] = []
-    queue = deque(sorted(roots))
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in seen:
-                seen.add(y)
+    queue = sorted(roots)
+    seen = [False] * g.n
+    for v in chain(queue, skip):
+        seen[v] = True
+    for x in queue:
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
                 parent[y] = x
-                order.append(y)
                 queue.append(y)
-    return parent, order
+    return parent, queue[len(roots):]
 
 
 def _odd_walk(g: Graph, s: int, limit: int):
@@ -294,6 +299,7 @@ def _odd_walk(g: Graph, s: int, limit: int):
     up to its first reach of (s, 1).  Returns (depth, parent), where parent
     maps each state 2x + parity reached to the state it was reached from,
     or None when (s, 1) is more than ``limit`` steps away."""
+    adj = g._adj
     home = 2 * s + 1
     parent = {2 * s: None}
     frontier = [2 * s]
@@ -303,7 +309,7 @@ def _odd_walk(g: Graph, s: int, limit: int):
         reached = []
         for state in frontier:
             x, flip = state >> 1, (state & 1) ^ 1
-            for y in g.neighbors(x):
+            for y in adj[x]:
                 t = 2 * y + flip
                 if t not in parent:
                     parent[t] = state

@@ -266,7 +266,10 @@ def _block_ok(k, core, picks, live, order, peel):
     with the _bfs_order that _solve passes, reach spreads along a sweep
     rather than one edge per sweep, in both directions.  They repeat
     until no int changes: the least fixpoint on the core, so the order
-    sets only the number of sweeps.  The down pass steps from each parent
+    sets only the number of sweeps.  Every head of a core arc must be a
+    tail in ``order``, or it would stay dirty with no sweep to visit it: a
+    sweep that visits no dirty tail while a vertex is dirty raises
+    AssertionError.  The down pass steps from each parent
     to its peeled t, in reverse peel order, once.  By the pendant-tree
     lemma (module docstring) the ints then hold the least fixpoint of the
     whole graph, the same as sweeping every arc.  A lane passes when all
@@ -283,9 +286,11 @@ def _block_ok(k, core, picks, live, order, peel):
     for a in order:
         dirty[a] = True
     while True in dirty:
+        swept = False
         for a in order:
             if not dirty[a]:
                 continue
+            swept = True
             dirty[a] = False
             avail = _others(k, reach[a], seeds[a])
             for b, e in core[a]:
@@ -296,6 +301,8 @@ def _block_ok(k, core, picks, live, order, peel):
                     if new != old:
                         target[c] = new
                         dirty[b] = True
+        if not swept:
+            raise AssertionError("exact kernel: an arc enters a vertex that is not a tail in the sweep order")
         order = order[::-1]
     for t, p, e in reversed(peel):
         _step(colors, _others(k, reach[p], seeds[p]), picks[e], reach[t])

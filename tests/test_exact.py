@@ -359,7 +359,8 @@ def unpack(n, picks, live):
 def walk_passing(nbrs, k, rows):
     """The indices of the rows that verify's SCC pass accepts, one at a time."""
     return [j for j, s in enumerate(rows)
-            if _first_failure([[(y, s[e]) for y, e in row] for row in nbrs], k) is None]
+            if _first_failure([[(y, s[e], y * (k + 1) + s[e]) for y, e in row] for row in nbrs],
+                              len(nbrs) * (k + 1)) is None]
 
 
 def layouts(nbrs, bidirectional):
@@ -792,11 +793,34 @@ for search in (lambda: exact.exact_pw(cycle(5), max_k=2),
 """
 
 
-def run_snippet(code, *flags):
+BROKEN_PEEL = """
+import properwalk.exact as exact
+from properwalk import cycle_with_feet, path_graph
+assert not __debug__, "asserts are on"
+peel = exact._peel
+def broken(nbrs):  # leaves each removed vertex's arc in its parent's row
+    core, removed = peel(nbrs)
+    core = [list(row) for row in core]
+    for t, p, e in removed:
+        core[p].append((t, e))
+    return core, removed
+exact._peel = broken
+for search in (lambda: exact.exact_pw(cycle_with_feet(3, [2, 1, 0]), max_k=2),
+               lambda: exact.exact_pw(path_graph(4), max_k=2)):
+    try:
+        search()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        print("returned")
+"""
+
+
+def run_snippet(code, *flags, timeout=120):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -808,6 +832,15 @@ def test_kernel_check_survives_python_O():
     assert len(lines) == 3
     for line in lines:
         assert line.startswith("raised: kernel accepted a coloring the verifier rejects")
+
+
+def test_broken_layout_fails_fast_under_python_O():
+    """A layout with a core arc into a vertex outside the sweep order would
+    keep that vertex dirty forever; the kernel raises instead, also when
+    python -O strips asserts."""
+    lines = run_snippet(BROKEN_PEEL, "-O", timeout=30).splitlines()
+    assert lines == ["raised: exact kernel: an arc enters a vertex that is not a tail "
+                     "in the sweep order"] * 2
 
 
 def test_import_leaves_numpy_out():

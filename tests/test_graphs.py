@@ -334,7 +334,8 @@ def assert_sorted_adjacency(g, flips=()):
         lists = [g.neighbors(v) for v in range(g.n)]
         want = [sorted((v, col.color(u, v)) for v in g.neighbors(u)) for u in range(g.n)]
     assert all(list(a) == sorted(a) for a in lists), pairs
-    assert _colored_adjacency(g, col) == want, pairs
+    ids = [[(v, c, 4 * v + c) for v, c in row] for row in want]
+    assert _colored_adjacency(g, col) == (ids, 4 * g.n), pairs
 
 
 class TestSortedAdjacency:

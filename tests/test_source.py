@@ -82,3 +82,13 @@ def test_unchecked_graph_builder_callers():
                 calls.append((path.name, owner and owner.name))
     assert {name for name, _ in calls} == {"graphs.py", "decompose.py"}
     assert {owner for name, owner in calls if name != "graphs.py"} == {"_disjoint_odd_cycles"}
+
+
+def test_adjacency_tuple_readers():
+    """``Graph._adj`` is the graph's own neighbor tuples: graphs.py builds
+    them and decompose.py's traversals read them directly; every other
+    module asks ``Graph.neighbors``."""
+    readers = {path.name for path in sorted(PACKAGE.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.Attribute) and node.attr == "_adj"}
+    assert readers == {"graphs.py", "decompose.py"}

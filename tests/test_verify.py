@@ -1,6 +1,10 @@
 import ast
+import os
 import random
-from itertools import product
+import subprocess
+import sys
+import tracemalloc
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,84 @@ def first_failing_ordered_pair(d, col):
         for v in range(d.n):
             if u != v and not walk_reachable_directed(d, col, u, v)[0]:
                 return u, v
+    return None
+
+
+def reference_walk_reach(adj, k):
+    """The verifier's SCC pass as it was on per-state dicts, kept as the
+    reference for the flat pass: yield (src, reach) for every vertex src in
+    order, bit v of reach set when a properly colored walk runs from src
+    to v.  ``adj[x]`` lists (y, col) for the edges or arcs leaving x."""
+    width = k + 1
+    num, reach, tstack = {}, {}, []
+    for src in range(len(adj)):
+        got = 1 << src
+        for y, col in adj[src]:
+            state = y * width + col
+            sub = reach.get(state)
+            if sub is None:
+                sub = _reference_close_from(adj, width, state, num, reach, tstack)
+            got |= sub
+        yield src, got
+
+
+def _reference_close_from(adj, width, root, num, reach, tstack):
+    s = root
+    x, last = divmod(s, width)
+    num[s] = low = len(num)
+    acc = 1 << x
+    tstack.append(s)
+    it = iter(adj[x])
+    frames = []
+    while True:
+        for y, col in it:
+            if col == last:
+                continue
+            t = y * width + col
+            sub = reach.get(t)
+            if sub is not None:
+                acc |= sub
+                continue
+            nt = num.get(t)
+            if nt is not None:
+                if nt < low:
+                    low = nt
+                continue
+            frames.append((s, last, it, low, acc))
+            s, last = t, col
+            num[s] = low = len(num)
+            acc = 1 << y
+            tstack.append(s)
+            it = iter(adj[y])
+            break
+        else:
+            if low == num[s]:
+                while True:
+                    member = tstack.pop()
+                    reach[member] = acc
+                    if member == s:
+                        break
+            if not frames:
+                return acc
+            child_low, child_acc = low, acc
+            s, last, it, low, acc = frames.pop()
+            acc |= child_acc
+            if child_low < low:
+                low = child_low
+
+
+def reference_first_failure(g, col):
+    """The first pair the reference pass finds with no walk, or None."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in (g.arcs if isinstance(g, Digraph) else g.edges):
+        adj[u].append((v, col.color(u, v)))
+        if not isinstance(g, Digraph):
+            adj[v].append((u, col.color(u, v)))
+    full = (1 << g.n) - 1
+    for src, got in reference_walk_reach([sorted(row) for row in adj], col.k):
+        if got != full:
+            missing = full ^ got
+            return src, (missing & -missing).bit_length() - 1
     return None
 
 
@@ -245,22 +327,29 @@ class TestPathReachable:
     def test_walk_equals_path_on_bipartite_two_colorings(self):
         # with two colors on a bipartite graph, walks shortcut to paths;
         # exhaustive over every coloring of every graph up to 6 vertices,
-        # with the adjacency hoisted out of the pair loop for speed
-        from properwalk.verify import _path_dfs, _walk_reach
+        # with the adjacency hoisted out of the pair loop for speed.  The
+        # reach of every source comes from the reference pass, and the
+        # verifier's pass must find the first pair with no path
+        from properwalk.verify import _first_failure, _path_dfs
         for n in range(2, 7):
             for g in connected_bipartite_graphs(n):
                 if g.m == 0:
                     continue
                 assert bipartition(g) is not None
                 for colors in all_colorings(g.m, 2):
-                    adj = [[] for _ in range(n)]
+                    pairs = [[] for _ in range(n)]
                     for (a, b), col in zip(g.edges, colors):
-                        adj[a].append((b, col))
-                        adj[b].append((a, col))
-                    for u, walk_ok in _walk_reach(adj, 2):
+                        pairs[a].append((b, col))
+                        pairs[b].append((a, col))
+                    adj = [[(y, col, 3 * y + col) for y, col in row] for row in pairs]
+                    first = None
+                    for u, walk_ok in reference_walk_reach(pairs, 2):
                         for v in range(u + 1, n):
                             path_ok = _path_dfs(adj, u, v, 1 << u, 0)
                             assert bool(walk_ok >> v & 1) == path_ok
+                            if not path_ok and first is None:
+                                first = u, v
+                    assert _first_failure(adj, 3 * n) == first
 
     def test_walk_equals_path_matches_public_functions(self):
         # spot-check that the hoisted loop above matches the public API
@@ -436,3 +525,163 @@ def test_pairs_and_adjacency_stay_in_verify():
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
         assert not used & hidden, (name, sorted(used & hidden))
+
+
+def scc_digraphs(max_n):
+    """Every strongly connected labeled digraph with 2..max_n vertices."""
+    for n in range(2, max_n + 1):
+        slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for mask in range(1, 1 << len(slots)):
+            d = Digraph(n, [a for i, a in enumerate(slots) if mask >> i & 1])
+            if d.is_strongly_connected():
+                yield d
+
+
+def scc_digraphs_up_to_relabeling(n):
+    """One strongly connected digraph on n vertices per isomorphism class."""
+    seen = set()
+    for d in scc_digraphs(n):
+        if d.n == n:
+            key = min(tuple(sorted((p[u], p[v]) for u, v in d.arcs)) for p in permutations(range(n)))
+            if key not in seen:
+                seen.add(key)
+                yield d
+
+
+def caterpillar(spine, legs):
+    """A path on 0..spine-1 with ``legs`` leaves hung on each of its vertices."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return Graph(spine * (legs + 1), edges)
+
+
+def rainbow(g):
+    """Every edge or arc its own color."""
+    return EdgeColoring(max(g.m, 1), {e: i + 1 for i, e in enumerate(getattr(g, "arcs", None) or g.edges)})
+
+
+class TestFlatPass:
+    """The SCC pass on flat tables, with and without shared exits, against
+    the reference pass on per-state dicts: the same first failing pair, or
+    None, on every input.  ``_WIDE`` at 0 chains every vertex with an arc
+    in and an arc out, one color class per block; at 2 and 3, vertices
+    with three or four colors, in blocks of two or three classes."""
+
+    @pytest.fixture(params=[16, 0, 2, 3])
+    def wide(self, request, monkeypatch):
+        monkeypatch.setattr(verify, "_WIDE", request.param)
+
+    @staticmethod
+    def agree(g, col):
+        got = verify._first_failure(*verify._colored_adjacency(g, col))
+        assert got == reference_first_failure(g, col), (g, col.assignment)
+
+    def test_every_small_coloring(self, wide):
+        # every coloring up to renaming the colors, which changes no answer
+        count = 0
+        for g in [g for n in range(1, 5) for g in connected_graphs(n)] + list(scc_digraphs(3)):
+            count += self.agree_on_every_coloring(g, 3)
+        assert count == 671 + 506
+
+    @pytest.mark.parametrize("wide, max_k, count", [(16, 3, 171544), (0, 2, 27624)],
+                             indirect=["wide"])
+    def test_every_coloring_of_five_vertices(self, wide, max_k, count):
+        assert sum(self.agree_on_every_coloring(g, max_k) for g in connected_graphs(5)) == count
+
+    @pytest.mark.parametrize("wide, max_k, count", [(16, 3, 237628), (0, 2, 13256)],
+                             indirect=["wide"])
+    def test_every_coloring_of_four_vertex_digraphs(self, wide, max_k, count):
+        # the 83 classes of strongly connected digraphs on 4 vertices
+        assert sum(self.agree_on_every_coloring(d, max_k)
+                   for d in scc_digraphs_up_to_relabeling(4)) == count
+
+    def agree_on_every_coloring(self, g, max_k):
+        from properwalk import canonical_colorings
+        pairs = getattr(g, "arcs", None) or g.edges
+        count = 0
+        for colors in canonical_colorings(len(pairs), max_k):
+            self.agree(g, EdgeColoring(3, dict(zip(pairs, colors))))
+            count += 1
+        return count
+
+    def test_random_colorings(self, wide):
+        rng = random.Random(23)
+        for trial in range(400):
+            n = rng.randint(2, 30)
+            k = rng.choice([1, 2, 3, 5, 8, 12])
+            if trial % 2:
+                g = random_connected(n, rng.uniform(0.05, 0.5), seed=rng.random())
+                pairs = g.edges
+            else:
+                arcs = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n, 4 * n))}
+                g = Digraph(n, arcs)
+                pairs = g.arcs
+            self.agree(g, EdgeColoring(k, {e: rng.randint(1, k) for e in pairs}))
+
+    def test_rainbow_stars_and_caterpillars(self, wide):
+        for g in [star(n) for n in (2, 3, 17, 18, 19, 40)] + [
+                caterpillar(spine, legs) for spine in (1, 2, 5) for legs in (1, 3, 17, 20)]:
+            self.agree(g, rainbow(g))
+            col = rainbow(g)
+            # one repeated color: every pair through it fails
+            self.agree(g, EdgeColoring(col.k, {**col.assignment, g.edges[-1]: 1}))
+
+    def test_declared_k_beyond_the_flat_range(self):
+        # the same coloring in flat and in compact ids
+        g = caterpillar(4, 3)
+        for k in (2, 10 ** 9):
+            adj, states = verify._colored_adjacency(g, EdgeColoring(k, {e: 1 + i % 2 for i, e in enumerate(g.edges)}))
+            assert states == (g.n * (k + 1) if k == 2 else len({t for row in adj for _, _, t in row}))
+            assert verify._first_failure(adj, states) == reference_first_failure(
+                g, EdgeColoring(2, {e: 1 + i % 2 for i, e in enumerate(g.edges)}))
+
+
+def _run_python(code, timeout):
+    env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+
+
+class TestManyColors:
+    """Colorings with many colors: the pass is linear in n + m and its
+    tables are O(n + m) whatever k is."""
+
+    def test_star_with_every_edge_its_own_color_is_fast(self):
+        # about 75 s on the per-state pass, a fraction of a second here
+        code = ("from properwalk import star, verify_all_pairs\n"
+                "from properwalk.construct import color_tree\n"
+                "g = star(20000)\n"
+                "print(verify_all_pairs(g, color_tree(g).coloring))\n")
+        proc = _run_python(code, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "(True, None)\n", proc.stderr
+
+    def test_hub_with_one_color_out_is_fast(self):
+        # 20 000 colors enter the hub and one leaves it: the states whose
+        # color leaves on no arc are one node, not 20 000 scans of its arcs
+        code = ("from properwalk import Digraph, EdgeColoring, verify_all_pairs_directed\n"
+                "n = 20000\n"
+                "arcs = {**{(i, 0): i + 1 for i in range(1, n + 1)}, **{(0, i): 1 for i in range(1, n + 1)}}\n"
+                "print(verify_all_pairs_directed(Digraph(n + 1, list(arcs)), EdgeColoring(n + 1, arcs)))\n")
+        proc = _run_python(code, timeout=20)    # about 45 s when each state scans the arcs
+        assert proc.returncode == 0 and proc.stdout == "(True, None)\n", proc.stderr
+
+    def test_star_memory_within_twice_the_reference(self):
+        # the reference pass peaked at 1.75 MB here (Python 3.11); it takes
+        # seconds under tracemalloc, so its figure is written down
+        from properwalk.construct import color_tree
+        g = star(2000)
+        col = color_tree(g).coloring
+        tracemalloc.start()
+        try:
+            assert verify._first_failure(*verify._colored_adjacency(g, col)) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1.75e6, peak
+
+    def test_cli_verify_with_a_huge_declared_k(self, tmp_path, capsys):
+        from properwalk.cli import main
+        (tmp_path / "g.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+        (tmp_path / "c.txt").write_text("k 1000000000\n0 1 1\n1 2 2\n2 3 1\n0 3 2\n")
+        code = main(["verify", str(tmp_path / "g.txt"), str(tmp_path / "c.txt")])
+        assert (code, capsys.readouterr().out) == (0, "PASS\n")
