@@ -143,6 +143,10 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.witness and args.pair is None:
+        raise ValueError("--witness needs --pair")
+    if args.witness and args.path:
+        raise ValueError("--witness does not apply to --path, which gives no witness")
     g = _load_graph(args.graph, directed=args.directed)
     coloring = parse_coloring(_read_text(args.coloring), directed=args.directed)
 
@@ -154,7 +158,7 @@ def _cmd_verify(args) -> int:
             ok, witness = verify.walk_reachable(g, coloring, u, v)
         if ok:
             print("PASS")
-            if args.witness and witness is not None:
+            if args.witness:
                 print("witness:", " ".join(map(str, witness.vertices)))
             return 0
         print(f"FAIL {u} {v}")
@@ -221,11 +225,14 @@ def _cmd_experiment(args) -> int:
         k_hist[result.k] = k_hist.get(result.k, 0) + 1
         statuses[result.status] = statuses.get(result.status, 0) + 1
         if args.exact:
-            res = exact.exact_pw(g, max_k=max(3, g.max_degree()))
-            agree = (result.k == res.k if result.status == "exact" else result.k >= res.k)
+            # pw_auto's verified coloring settles level result.k, so the
+            # oracle searches only the levels below it
+            res = exact.exact_pw(g, max_k=result.k - 1) if result.k > 1 else None
+            exact_k = result.k if res is None else res.k
+            agree = (result.k == exact_k if result.status == "exact" else result.k >= exact_k)
             if not agree:
                 mismatches += 1
-            print(f"{trial} {g.n} {g.m} {result.k} {result.status} {res.k} {str(agree).lower()}")
+            print(f"{trial} {g.n} {g.m} {result.k} {result.status} {exact_k} {str(agree).lower()}")
         else:
             print(f"{trial} {g.n} {g.m} {result.k} {result.status}")
     hist = " ".join(f"{k}:{k_hist[k]}" for k in sorted(k_hist))

@@ -25,8 +25,9 @@ from itertools import islice, product
 from .graphs import (ColoringResult, EdgeColoring, Graph, _steps,
                      canonical_edge, emit_graph)
 from .decompose import (Decomposition, _bfs_forest, _connect, _cycle_edges,
-                        _disjoint_odd_cycles, _layers, decomposition,
-                        rotate_cycle, shortest_odd_cycle, two_disjoint_paths)
+                        _disjoint_odd_cycles, _layers, _odd_cycle_in,
+                        decomposition, rotate_cycle, shortest_odd_cycle,
+                        two_disjoint_paths)
 from .orient import path_anchored_orientation
 from .verify import verify_all_pairs
 from . import exact as _exact
@@ -398,14 +399,7 @@ def _reduce_theta(g: Graph, soc: tuple[int, ...]):
     _check_theta(g, theta)
 
     while True:     # each descent strictly shortens the inverter
-        cyc_set = set(theta.cycle)
-        rest = sorted(set(range(g.n)) - cyc_set)
-        odd = None
-        if rest:
-            sub, old = g.induced(rest)
-            found = shortest_odd_cycle(sub)
-            if found is not None:
-                odd = tuple(old[x] for x in found)
+        odd = _odd_cycle_in(g, set(range(g.n)) - set(theta.cycle))
         if odd is None:
             return theta
 
@@ -678,16 +672,21 @@ def color_cycle_feet2(g: Graph, shape: CycleFeetShape) -> ColoringResult:
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-def pw_auto(g: Graph, exhaustive_budget: int = 18) -> ColoringResult:
+# pw_auto's exhaustive two-color search runs on graphs with at most this
+# many edges, below level 2's default edge budget in exact.py
+_EXHAUSTIVE_EDGES = 18
+
+
+def pw_auto(g: Graph) -> ColoringResult:
     """Route a connected graph to the strongest applicable construction and
     report honestly whether the color count is exact or an upper bound.
 
     Order: complete, tree, bipartite (with the three-bridge lower bound on
     violation), bridgeless, cycle-with-feet, two edge-disjoint odd cycles,
-    then an exhaustive two-color search when the graph is small enough, and
-    finally the three-color construction as a plain upper bound.  Past the
-    complete and tree exits the graph is decomposed once, and every later
-    route reads that one ``Decomposition``.
+    then an exhaustive two-color search on at most ``_EXHAUSTIVE_EDGES``
+    edges, and finally the three-color construction as a plain upper
+    bound.  Past the complete and tree exits the graph is decomposed once,
+    and every later route reads that one ``Decomposition``.
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
@@ -711,8 +710,8 @@ def pw_auto(g: Graph, exhaustive_budget: int = 18) -> ColoringResult:
     found = _disjoint_odd_cycles(g, dec)
     if found is not None:
         return color_two_odd_cycles2(g, TwoOddLayout(*found))
-    if g.m <= exhaustive_budget:
-        res = _exact.exact_pw(g, max_k=2, budgets={2: exhaustive_budget})
+    if g.m <= _EXHAUSTIVE_EDGES:
+        res = _exact.exact_pw(g, max_k=2)
         if res is not None:
             return ColoringResult(res.k, res.witness, "exact", "exhaustive search")
         return _three_colors_exact(g, "exhaustive refutation + unicyclic")

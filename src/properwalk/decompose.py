@@ -11,8 +11,10 @@ vertices (Robbins 1939), which ``orient.robbins_orientation`` and the
 two-color constructions read.  A ``Decomposition`` bundles one such pass
 with the one ``_layers`` result; the dispatcher builds one per call and
 passes it to the constructions.  Its bipartition, core contraction and
-shortest odd cycles, per block and of the whole graph, are computed lazily
-and at most once.
+shortest odd cycle of the whole graph are computed lazily and at most once;
+``_odd_cycle_in`` is the one search of a part of the graph (a block, a block
+less a cycle, the region off a theta's outer cycle), over its relabeled
+``Graph._subgraph`` copy.
 
 ``_layers`` is the one BFS layering (every vertex class, the
 ``shortest_odd_cycle`` cover), ``_ball`` the one depth-cut BFS (the
@@ -201,6 +203,15 @@ def shortest_odd_cycle(g: Graph) -> tuple[int, ...] | None:
     layer are tried.
     """
     return _shortest_odd_cycle(g, _layers(g)[1])
+
+
+def _odd_cycle_in(g: Graph, vertices, drop=frozenset()) -> tuple[int, ...] | None:
+    """The one search of a part of g: ``shortest_odd_cycle`` of the subgraph
+    induced on ``vertices`` less the edges in ``drop``, in g's ids, or None
+    when that part is bipartite."""
+    sub, old = g._subgraph(vertices, drop)
+    cyc = shortest_odd_cycle(sub)
+    return cyc and tuple(old[v] for v in cyc)
 
 
 def _shortest_odd_cycle(g: Graph, cover) -> tuple[int, ...] | None:
@@ -461,15 +472,9 @@ def _disjoint_odd_cycles(g: Graph, dec: Decomposition):
         if not found:
             return None
         blk, c1 = found[0]
-        used = _cycle_edges(c1)
-        old = sorted(blk)
-        index = {v: i for i, v in enumerate(old)}
-        c2 = shortest_odd_cycle(Graph.__new__(Graph)._build(len(old), [
-            (index[u], index[v]) for u, v in g.edges
-            if u in index and v in index and (u, v) not in used]))
+        c2 = _odd_cycle_in(g, blk, _cycle_edges(c1))
         if c2 is None:
             return None
-        c2 = tuple(old[v] for v in c2)
     return _connect(g, c1, c2)
 
 
@@ -500,8 +505,9 @@ def contract_core_graph(g: Graph) -> CoreContraction:
 @dataclass(frozen=True)
 class Decomposition:
     """The structural facts the coloring constructions rely on, for one
-    connected graph; the bipartition, contraction and odd cycles are
-    computed on demand.  ``arcs`` holds each block's edges as the
+    connected graph; the bipartition, contraction and whole-graph odd cycle
+    are computed on demand and kept, and ``odd_blocks`` searches the blocks
+    as it is iterated.  ``arcs`` holds each block's edges as the
     ``_low_link`` DFS oriented them, aligned with ``blocks``.  ``depth`` and
     ``ends`` are its ``_layers``: ``ends`` is the vertex cover of the edges
     inside one layer, empty exactly when the graph is bipartite.  On a
@@ -515,8 +521,6 @@ class Decomposition:
     depth: tuple[int, ...] = field(repr=False)
     ends: tuple[int, ...]
     graph: Graph = field(repr=False)
-    _block_cycles: dict[frozenset[int], tuple[int, ...] | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def two_bridge_rule(self) -> bool:
@@ -540,22 +544,18 @@ class Decomposition:
 
     def odd_blocks(self):
         """Yield (block, a shortest odd cycle of it) for each nonbipartite
-        block in block order.  A block is searched when the iteration first
-        reaches it, and never again: the whole graph as ``odd_cycle``, a
-        smaller block in its induced copy."""
+        block in block order, searching each block when the iteration
+        reaches it: the whole graph as ``odd_cycle``, a smaller block by
+        ``_odd_cycle_in``.  Nothing is kept, so a second iteration searches
+        again; each caller iterates once per decomposition."""
         if not self.ends:
             return
         for blk in self.blocks:
-            if blk not in self._block_cycles and len(blk) > 2:
-                if len(blk) == self.graph.n:    # the block is the whole graph
-                    cyc = self.odd_cycle
-                else:
-                    sub, old = self.graph.induced(blk)
-                    cyc = shortest_odd_cycle(sub)
-                    cyc = cyc and tuple(old[v] for v in cyc)
-                self._block_cycles[blk] = cyc
-            if self._block_cycles.get(blk):
-                yield blk, self._block_cycles[blk]
+            if len(blk) > 2:
+                cyc = (self.odd_cycle if len(blk) == self.graph.n
+                       else _odd_cycle_in(self.graph, blk))
+                if cyc:
+                    yield blk, cyc
 
     @cached_property
     def odd_cycle(self) -> tuple[int, ...] | None:

@@ -49,9 +49,10 @@ it makes each pass of the kernel exact:
   alone.  With the walks from t's children that is R[t].
 
 Each level is one generator, _level, that yields its walk-passing colorings
-in order; _solve chains the levels, exact_pw, exact_pp and exact_directed
-take the first coloring their acceptor passes, and exact_pw_pp reads pW and
-pP off one stream.  The solver uses no theorem about the answer.
+in order; _solve chains the levels, _guarded is the solvers' one checked
+entry to it, exact_pw, exact_pp and exact_directed take the first coloring
+their acceptor passes, and exact_pw_pp reads pW and pP off one stream.
+The solver uses no theorem about the answer.
 """
 
 from __future__ import annotations
@@ -450,13 +451,26 @@ def _verified(verifier, graph):
     return accept
 
 
+def _guarded(g: Graph | Digraph, max_k: int, budgets, directed=False, paths=False):
+    """The solvers' one entry to _solve: raises ValueError unless the graph
+    is connected, or the ``directed`` solver's digraph strongly connected,
+    and, when the solver searches ``paths``, unless it has at most
+    PATH_VERTEX_LIMIT vertices."""
+    if directed:
+        if not g.is_strongly_connected():
+            raise ValueError("digraph is not strongly connected")
+    elif not g.is_connected():
+        raise ValueError("graph is not connected")
+    if paths and g.n > PATH_VERTEX_LIMIT:
+        raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
+    return _solve(g.n, g.arcs if directed else g.edges, not directed, max_k, budgets)
+
+
 def exact_pw(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
     """Smallest k <= max_k admitting an all-pairs properly-colored-walk
     coloring, or None when every level fails.  The witness is re-verified
     with verify_all_pairs before returning."""
-    if not g.is_connected():
-        raise ValueError("graph is not connected")
-    return _first(_solve(g.n, g.edges, True, max_k, budgets), _verified(verify_all_pairs, g))
+    return _first(_guarded(g, max_k, budgets), _verified(verify_all_pairs, g))
 
 
 def _paths_all_pairs(g: Graph | Digraph, coloring: EdgeColoring) -> bool:
@@ -471,21 +485,13 @@ def exact_pp(g: Graph, max_k: int = 3, budgets=None) -> ExactResult | None:
     Candidates must pass the walk check first (every path is a walk), so the
     expensive path search only runs on walk-passing colorings.
     """
-    if not g.is_connected():
-        raise ValueError("graph is not connected")
-    if g.n > PATH_VERTEX_LIMIT:
-        raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
-    return _first(_solve(g.n, g.edges, True, max_k, budgets), partial(_paths_all_pairs, g))
+    return _first(_guarded(g, max_k, budgets, paths=True), partial(_paths_all_pairs, g))
 
 
 def exact_pw_pp(g: Graph, max_k: int = 3, budgets=None):
     """(exact_pw(g, ...), exact_pp(g, ...)) from one enumeration, raising what
     either raises; pP is the first candidate from pW's on that has paths."""
-    if not g.is_connected():
-        raise ValueError("graph is not connected")
-    if g.n > PATH_VERTEX_LIMIT:
-        raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
-    stream = _solve(g.n, g.edges, True, max_k, budgets)
+    stream = _guarded(g, max_k, budgets, paths=True)
     pw = _first(stream, _verified(verify_all_pairs, g))
     return pw, pw and _first(chain([pw], stream), partial(_paths_all_pairs, g))
 
@@ -496,13 +502,9 @@ def exact_directed(d: Digraph, mode: str = "walk", max_k: int = 3,
     ordered vertex pairs; mode "walk" or "path"."""
     if mode not in ("walk", "path"):
         raise ValueError(f"mode must be 'walk' or 'path', got {mode!r}")
-    if not d.is_strongly_connected():
-        raise ValueError("digraph is not strongly connected")
-    if mode == "path" and d.n > PATH_VERTEX_LIMIT:
-        raise ValueError(f"path solver is limited to {PATH_VERTEX_LIMIT} vertices")
     accept = (_verified(verify_all_pairs_directed, d) if mode == "walk"
               else partial(_paths_all_pairs, d))
-    return _first(_solve(d.n, d.arcs, False, max_k, budgets), accept)
+    return _first(_guarded(d, max_k, budgets, directed=True, paths=mode == "path"), accept)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,25 @@ def _reached(neighbors, src: int) -> set[int]:
     return seen
 
 
+def _checked_pairs(n: int, pairs, kind: str, key) -> list[tuple[int, int]]:
+    """The one pair check of ``Graph`` and ``Digraph``: the distinct
+    ``key(u, v)`` of the pairs, sorted, after rejecting a negative n and
+    every out-of-range, loop or duplicate ``kind`` ("edge" or "arc")."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    seen = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{kind} ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed")
+        e = key(u, v)
+        if e in seen:
+            raise ValueError(f"duplicate {kind} {e}")
+        seen.add(e)
+    return sorted(seen)
+
+
 def _steps(vs, closed=False) -> list[tuple[int, int]]:
     """The one edge split: the consecutive pairs of the vertex sequence vs,
     and with ``closed`` also (last, first), which closes it into a cycle."""
@@ -62,25 +81,14 @@ class Graph:
     __slots__ = ("n", "edges", "_adj", "_connected")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            e = canonical_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        self._build(n, sorted(seen))
+        self._build(n, _checked_pairs(n, edges, "edge", canonical_edge))
 
     def _build(self, n: int, edges) -> "Graph":
         """Fill in this graph from edges that are already canonical, unique
         and sorted, with no check; returns it.  ``__init__`` calls it after
-        validating, and copies filtered from a valid graph through an
-        order-preserving relabeling call it on ``Graph.__new__(Graph)``."""
+        validating, and ``_subgraph`` on ``Graph.__new__(Graph)`` for its
+        copies, filtered from a valid graph through an order-preserving
+        relabeling."""
         self.n = n
         self.edges = tuple(edges)
         # sorted edges list each vertex's lower neighbors in increasing
@@ -124,10 +132,16 @@ class Graph:
 
     def induced(self, vertices) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on ``vertices``; returns (subgraph, old id per new id)."""
+        return self._subgraph(vertices)
+
+    def _subgraph(self, vertices, drop=frozenset()) -> tuple["Graph", tuple[int, ...]]:
+        """The one relabeled copy: the subgraph induced on ``vertices`` less
+        the edges in ``drop`` (canonical pairs), with the vertices renumbered
+        in increasing order; returns (subgraph, old id per new id)."""
         old = tuple(sorted(set(vertices)))
         index = {v: i for i, v in enumerate(old)}
-        sub_edges = [(index[u], index[v]) for u, v in self.edges
-                     if u in index and v in index]
+        edges = [e for e in self.edges if e not in drop] if drop else self.edges
+        sub_edges = [(index[u], index[v]) for u, v in edges if u in index and v in index]
         return Graph.__new__(Graph)._build(len(old), sub_edges), old
 
     def __eq__(self, other):
@@ -146,19 +160,8 @@ class Digraph:
     __slots__ = ("n", "arcs", "_out", "_in")
 
     def __init__(self, n: int, arcs=()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
+        self.arcs = tuple(_checked_pairs(n, arcs, "arc", lambda u, v: (u, v)))
         self.n = n
-        self.arcs = tuple(sorted(seen))
         out = [[] for _ in range(n)]
         inc = [[] for _ in range(n)]
         for u, v in self.arcs:

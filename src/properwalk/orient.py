@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Digraph, Graph, _reached, _steps
+from .graphs import Digraph, Graph, _steps
 from .decompose import _low_link, two_disjoint_paths
 
 
@@ -96,8 +96,3 @@ def path_anchored_orientation(h: Graph, p) -> PathAnchoredOrientation:
                 anchors[x] = (q, r)
 
     return PathAnchoredOrientation(Digraph(h.n, arcs), p, anchors)
-
-
-def reaches(d: Digraph, src: int) -> set[int]:
-    """Vertices reachable from src along arcs."""
-    return _reached(d.out_neighbors, src)

@@ -22,7 +22,8 @@ state (x, last) steps to (y, col) along every edge x-y of color col != last.
   The pass thus takes O(n + m) node and arc steps whatever k is, each arc
   step at most one OR of n-bit ints, and holds one n-bit int per node.
 - The pairwise walk checks run one BFS over the same states, from a
-  virtual state (u, 0) that no edge enters, and return a witness walk.
+  virtual state (u, 0) that no edge enters, reading each vertex's arcs at
+  most twice, and return a witness walk.
 - The path variants do exhaustive simple-path search and are guarded to desk
   scale.
 """
@@ -90,14 +91,31 @@ def _colored_adjacency(g: Graph | Digraph, c: EdgeColoring):
 def _state_search(adj, u, v, start_colors, end_colors):
     """BFS over (vertex, last color) states from the virtual state (u, 0);
     ``start_colors`` filters that state's steps alone.  Returns a witness
-    vertex tuple or None.  Never uses the empty walk."""
+    vertex tuple or None.  Never uses the empty walk.
+
+    Beyond the root, each vertex's arcs are read at most twice: two states
+    at x entered along different colors allow every arc of x between them,
+    so every state those arcs lead to is already found, and a later state
+    at x would find nothing new.  The root allows every arc unless
+    ``start_colors`` filters it, so it counts as both reads, or as none.
+    The BFS finds the same states in the same order, and the same witness,
+    in O(n + m) steps."""
     root = (u, 0)
     parent = {root: None}
     queue = deque([root])
+    reads = [0] * len(adj)
+    if start_colors is None:
+        reads[u] = 2
     while queue:
         state = queue.popleft()
         x, last = state
-        only = start_colors if state is root else None
+        only = None
+        if state is root:
+            only = start_colors
+        elif reads[x] < 2:
+            reads[x] += 1
+        else:
+            continue
         for y, col, _ in adj[x]:
             if col == last or only is not None and col not in only:
                 continue

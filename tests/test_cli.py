@@ -244,6 +244,19 @@ class TestVerify:
         assert run("verify", gpath, cpath, "--directed", *flags) == (
             2, "", "error: digraph is not strongly connected\n")
 
+    @pytest.mark.parametrize("flags, err", [
+        (("--witness",), "--witness needs --pair"),
+        (("--witness", "--path"), "--witness needs --pair"),
+        (("--pair", "0", "2", "--witness", "--path"),
+         "--witness does not apply to --path, which gives no witness"),
+        (("--directed", "--pair", "0", "2", "--witness", "--path"),
+         "--witness does not apply to --path, which gives no witness"),
+    ])
+    def test_ignored_witness_flag_is_usage_error(self, run, tmp_path, flags, err):
+        gpath = write(tmp_path, "p3.txt", "0 1\n1 2\n")
+        cpath = write(tmp_path, "c.txt", "k 2\n0 1 1\n1 2 2\n")
+        assert run("verify", gpath, cpath, *flags) == (2, "", f"error: {err}\n")
+
     def test_disconnected_pair_is_an_answer(self, run, tmp_path):
         gpath = write(tmp_path, "g.txt", "0 1\n2 3\n")
         cpath = write(tmp_path, "c.txt", "k 1\n0 1 1\n2 3 1\n")
@@ -372,6 +385,20 @@ class TestExperiment:
         assert len(lines) == 102
         assert all(line.endswith(" true") for line in lines[1:-1])
         assert "exact-mismatch=0" in lines[-1]
+
+    def test_exact_asks_only_the_levels_below_pw_auto(self, run):
+        # pw_auto's verified k-coloring settles level k, so the oracle is
+        # asked up to k - 1: asking up to max(3, max degree) stopped this
+        # run at trial 3 with exit 2 ("level k=3 needs 15 <= 13 edges")
+        code, out, err = run("experiment", "--n", "14", "--p", "0.15", "--trials", "40",
+                             "--seed", "1", "--exact")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 42)
+        assert lines[1:5] == ["0 14 16 2 exact 2 true", "1 14 20 2 exact 2 true",
+                              "2 14 19 2 exact 2 true", "3 14 15 3 exact 3 true"]
+        assert lines[30] == "29 14 19 3 upper-bound 2 true"
+        assert lines[-1] == ("summary: trials=40 k[2:34 3:6] "
+                             "status[exact=39 upper-bound=1] exact-mismatch=0")
 
     def test_without_exact(self, run):
         assert run("experiment", "--n", "6", "--p", "0.5", "--trials", "3",

@@ -385,6 +385,41 @@ class TestColorThetaBlock2:
         g2 = Graph(14, list(base.edges) + [(8, 12), (12, 10), (12, 13), (13, 9)])
         assert color_theta_block2(g2).k == 2
 
+    def test_theta_with_ears_between_inverter_vertices(self, monkeypatch):
+        # theta(a, b, p) plus 1-3 ears between inverter-interior vertices:
+        # the family that reaches the descent and the trapped region, which
+        # no connected graph with n <= 6 and no random graph reaches
+        drawn = {"_descend": set(), "path_anchored_orientation": set()}
+
+        def spy(name):
+            real = getattr(construct, name)
+
+            def counted(*args):
+                drawn[name].add(draw)
+                return real(*args)
+            return counted
+
+        for name in drawn:
+            monkeypatch.setattr(construct, name, spy(name))
+        rng = random.Random(41)
+        for draw in range(200):
+            a, b = rng.choice([(a, b) for a in range(1, 7) for b in range(1, 7)
+                               if (a + b) % 2 == 0 and a + b > 2])
+            p = rng.choice([p for p in range(3, 12) if p % 2 != a % 2])
+            edges, n = set(theta(a, b, p).edges), a + b + p - 1
+            for _ in range(rng.randint(1, 3)):
+                x, y = rng.sample(range(a + b, n), 2)       # two interior vertices
+                length = rng.randint(1, 4)
+                ear = [x, *range(n, n + length - 1), y]
+                n += length - 1
+                edges.update(canonical_edge(*e) for e in _steps(ear))
+            g = Graph(n, edges)
+            res = pw_auto(g)
+            assert (res.k, res.status) == (2, "exact"), g.edges
+            assert verify_all_pairs(g, res.coloring)[0]
+        # 14 and 42 of the 200 draws at this seed
+        assert len(drawn["_descend"]) >= 5 and len(drawn["path_anchored_orientation"]) >= 30
+
     def test_all_two_connected_nonbipartite(self):
         from properwalk import blocks
         for n in range(3, 7):
@@ -586,6 +621,5 @@ class TestPwAuto:
         res = pw_auto(g)
         assert res.status == "upper-bound"
         assert verify_all_pairs(g, res.coloring)[0]
-        # with a raised budget the same graph resolves exactly
-        res2 = pw_auto(g, exhaustive_budget=22)
-        assert res2.status == "exact" and res2.k == 2
+        # with a raised budget the exhaustive search resolves it exactly
+        assert exact_pw(g, max_k=2, budgets={2: 22}).k == 2

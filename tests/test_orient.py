@@ -8,7 +8,7 @@ import pytest
 from properwalk import (Graph, bridges, blocks, complete, connected_graphs,
                         cycle, path_anchored_orientation, path_graph,
                         robbins_orientation, theta)
-from properwalk.orient import reaches
+from properwalk.graphs import _reached
 
 
 class TestRobbins:
@@ -21,7 +21,7 @@ class TestRobbins:
         d = robbins_orientation(complete(4))
         assert d.m == 6
         for v in range(4):
-            assert reaches(d, v) == set(range(4))
+            assert _reached(d.out_neighbors, v) == set(range(4))
 
     def test_bridge_rejected(self):
         with pytest.raises(ValueError, match="bridge"):
@@ -85,16 +85,16 @@ class TestPathAnchoredOrientation:
         for i in range(len(p) - 1):
             assert (p[i], p[i + 1]) in set(lo.arcs.arcs)
         # (b) the path start reaches everything
-        assert reaches(lo.arcs, p[0]) == set(range(h.n))
+        assert _reached(lo.arcs.out_neighbors, p[0]) == set(range(h.n))
         # (c) each pair is joined in at least one direction
-        reach = [reaches(lo.arcs, v) for v in range(h.n)]
+        reach = [_reached(lo.arcs.out_neighbors, v) for v in range(h.n)]
         for a in range(h.n):
             for b in range(a + 1, h.n):
                 assert b in reach[a] or a in reach[b]
         # anchor soundness
         for w, (q, r) in lo.anchors.items():
             assert pos[q] > pos[r]
-            assert w in reaches(lo.arcs, q)
+            assert w in _reached(lo.arcs.out_neighbors, q)
             assert r in reach[w]
 
     def test_properties_on_two_connected_graphs(self):

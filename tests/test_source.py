@@ -67,9 +67,9 @@ def test_exact_search_shares_no_verify_code():
 
 def test_unchecked_graph_builder_callers():
     """``Graph._build`` trusts its edges to be canonical, unique and sorted,
-    so only graphs.py and decompose._disjoint_odd_cycles, whose edges are
-    filtered from a valid graph through an order-preserving relabeling,
-    call it."""
+    so only graphs.py calls it: ``Graph.__init__`` after its check, and
+    ``Graph._subgraph``, whose edges are filtered from a valid graph through
+    an order-preserving relabeling."""
     calls = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -80,8 +80,7 @@ def test_unchecked_graph_builder_callers():
                 owner = min((fn for fn in funcs if fn.lineno <= node.lineno <= fn.end_lineno),
                             key=lambda fn: fn.end_lineno - fn.lineno, default=None)
                 calls.append((path.name, owner and owner.name))
-    assert {name for name, _ in calls} == {"graphs.py", "decompose.py"}
-    assert {owner for name, owner in calls if name != "graphs.py"} == {"_disjoint_odd_cycles"}
+    assert sorted(calls) == [("graphs.py", "__init__"), ("graphs.py", "_subgraph")]
 
 
 def test_adjacency_tuple_readers():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import permutations, product
 from pathlib import Path
@@ -685,3 +686,98 @@ class TestManyColors:
         (tmp_path / "c.txt").write_text("k 1000000000\n0 1 1\n1 2 2\n2 3 1\n0 3 2\n")
         code = main(["verify", str(tmp_path / "g.txt"), str(tmp_path / "c.txt")])
         assert (code, capsys.readouterr().out) == (0, "PASS\n")
+
+
+def reference_state_search(adj, u, v, start_colors, end_colors):
+    """The pairwise BFS as it was before it read each vertex's arcs at most
+    twice: every state expands every arc of its vertex."""
+    from collections import deque
+    root = (u, 0)
+    parent = {root: None}
+    queue = deque([root])
+    while queue:
+        state = queue.popleft()
+        x, last = state
+        only = start_colors if state is root else None
+        for y, col, _ in adj[x]:
+            if col == last or only is not None and col not in only:
+                continue
+            step = (y, col)
+            if step not in parent:
+                parent[step] = state
+                if y == v and (end_colors is None or col in end_colors):
+                    return verify._rebuild(parent, step)
+                queue.append(step)
+    return None
+
+
+class CountingRows(list):
+    """A colored adjacency that counts the arcs of the rows it hands out."""
+
+    arcs_read = 0
+
+    def __getitem__(self, x):
+        row = super().__getitem__(x)
+        self.arcs_read += len(row)
+        return row
+
+
+class TestStateSearch:
+    """The witness BFS, which reads each vertex's arcs at most twice, finds
+    what the BFS that expands every state finds: the same walk, or None."""
+
+    FILTERS = [None, {1}, {2}, {1, 3}, {4}]
+
+    @staticmethod
+    def agree(g, col, filters):
+        adj = verify._colored_adjacency(g, col)[0]
+        queries = 0
+        for u, v in product(range(g.n), repeat=2):
+            for start, end in filters:
+                got = verify._state_search(adj, u, v, start, end)
+                assert got == reference_state_search(adj, u, v, start, end), (
+                    g, col.assignment, u, v, start, end)
+                queries += 1
+        return queries
+
+    def test_every_small_coloring(self):
+        # every coloring with k <= 3 up to renaming the colors, every
+        # ordered pair, every pair of start and end filters
+        from properwalk import canonical_colorings
+        filters = list(product(self.FILTERS, repeat=2))
+        colorings = queries = 0
+        for g in [g for n in range(1, 5) for g in connected_graphs(n)] + list(scc_digraphs(3)):
+            pairs = getattr(g, "arcs", None) or g.edges
+            for colors in canonical_colorings(len(pairs), 3):
+                queries += self.agree(g, EdgeColoring(3, dict(zip(pairs, colors))), filters)
+                colorings += 1
+        assert (colorings, queries) == (671 + 506, 379400)
+
+    def test_random_colorings(self):
+        rng = random.Random(29)
+        for trial in range(150):
+            n = rng.randint(5, 9)
+            k = rng.choice([2, 3, 4])
+            if trial % 3:
+                g = random_connected(n, rng.uniform(0.2, 0.7), seed=rng.random())
+                pairs = g.edges
+            else:
+                g = Digraph(n, {tuple(rng.sample(range(n), 2)) for _ in range(3 * n)})
+                pairs = g.arcs
+            col = EdgeColoring(k, {e: rng.randint(1, k) for e in pairs})
+            self.agree(g, col, [(None, None), (rng.choice(self.FILTERS), rng.choice(self.FILTERS))])
+
+    def test_rainbow_complete_bipartite_is_linear(self):
+        # K_{2,n} with every edge its own color: n colors enter each hub,
+        # and the BFS that expands every state reads a hub's n arcs n
+        # times, about 2 n^2 arcs for a failing pair (0.2 / 1 / 4 s at
+        # n = 1 000 / 2 000 / 4 000)
+        n = 4000
+        g = Graph(n + 2, [(a, 2 + b) for a in range(2) for b in range(n)])
+        col = rainbow(g)
+        adj = CountingRows(verify._colored_adjacency(g, col)[0])
+        assert verify._state_search(adj, 2, 3, None, {1}) is None
+        assert adj.arcs_read <= 2 * (2 * g.m)
+        start = time.perf_counter()
+        assert walk_reachable(g, col, 2, 3, end_colors=[1]) == (False, None)
+        assert time.perf_counter() - start < 1.0
