@@ -218,28 +218,36 @@ def _cmd_experiment(args) -> int:
     print("trial n m k status" + (" exact agree" if args.exact else ""))
     k_hist: dict[int, int] = {}
     statuses: dict[str, int] = {}
-    mismatches = 0
+    mismatches = unsettled = 0
     for trial in range(args.trials):
         g = graphs.random_connected(args.n, args.p, seed=args.seed * 1000003 + trial)
         result = construct.pw_auto(g)
         k_hist[result.k] = k_hist.get(result.k, 0) + 1
         statuses[result.status] = statuses.get(result.status, 0) + 1
+        row = f"{trial} {g.n} {g.m} {result.k} {result.status}"
         if args.exact:
             # pw_auto's verified coloring settles level result.k, so the
-            # oracle searches only the levels below it
-            res = exact.exact_pw(g, max_k=result.k - 1) if result.k > 1 else None
-            exact_k = result.k if res is None else res.k
-            agree = (result.k == exact_k if result.status == "exact" else result.k >= exact_k)
-            if not agree:
-                mismatches += 1
-            print(f"{trial} {g.n} {g.m} {result.k} {result.status} {exact_k} {str(agree).lower()}")
-        else:
-            print(f"{trial} {g.n} {g.m} {result.k} {result.status}")
+            # oracle searches only the levels below it; a level past its
+            # edge budget leaves the row unsettled
+            try:
+                res = exact.exact_pw(g, max_k=result.k - 1) if result.k > 1 else None
+            except exact.BudgetExceededError:
+                unsettled += 1
+                row += " unsettled unsettled"
+            else:
+                exact_k = result.k if res is None else res.k
+                agree = (result.k == exact_k if result.status == "exact" else result.k >= exact_k)
+                if not agree:
+                    mismatches += 1
+                row += f" {exact_k} {str(agree).lower()}"
+        print(row)
     hist = " ".join(f"{k}:{k_hist[k]}" for k in sorted(k_hist))
     stat = " ".join(f"{s}={statuses[s]}" for s in sorted(statuses))
     line = f"summary: trials={args.trials} k[{hist}] status[{stat}]"
     if args.exact:
         line += f" exact-mismatch={mismatches}"
+        if unsettled:
+            line += f" exact-unsettled={unsettled}"
     print(line)
     return 0 if mismatches == 0 else 1
 

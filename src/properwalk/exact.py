@@ -12,14 +12,18 @@ lexicographic order.  A lane owns a field of n + 1 bits, n data bits and a
 guard bit, and one Python int per (vertex, last color) state packs the
 fields of every lane: the block kernel is a bit-parallel fixpoint over the
 arcs, seeded with the empty walk, over every lane and every source at once.
-On a graph the pendant trees are peeled off once per search (_peel): the
-kernel passes up each tree once, sweeps the rest, the core, until nothing
-changes, and passes down each tree once.  Its sweeps visit the core's tails
-in breadth-first order, forward then back, and skip a tail whose ints are
-unchanged; each visit costs one AND, one OR and one compare per arc out of
-the tail and color.  Lanes that strand a leaf (see _dead_ends) lose their
-seeds first, and a block whose lanes all do skips the kernel.  Passing
-lanes come out in lane order, so witnesses and explored counts follow the
+What depends only on the suffixes is built once per table and cached with
+it (_suffixes): the rows, the seed ints, and each edge's step list, its
+nonzero (color, pick) pairs.  On a graph the pendant trees are peeled off
+once per search (_peel): the kernel passes up each tree once, sweeps the
+rest, the core, until nothing changes, and passes down each tree once.
+Its sweeps visit the core's tails in breadth-first order, forward then
+back, and skip a tail whose ints are unchanged; each visit costs one AND,
+one OR and one compare per arc out of the tail and color the arc's edge
+takes in some lane, so a zero pick costs nothing.  Every lane is seeded;
+lanes that strand a leaf (see _dead_ends) are masked where the cover
+starts, and a block whose lanes all do skips the kernel.  Passing lanes
+come out lowest first, so witnesses and explored counts follow the
 canonical order.  The search reads nothing from the verifiers, which
 re-check each witness.
 
@@ -159,8 +163,11 @@ def _level(k, pairs, core, dead, before, order, peel):
     first edge is always in the prefix); k = 1 sizes as k = 2, which keeps
     s, and so _suffixes' recursion, small on graphs with many edges.  Each
     canonical prefix, in lexicographic order, makes one block: its
-    canonical suffixes, one lane each, in lexicographic order.  _live drops
-    the lanes that strand a leaf, and _block_ok checks the rest at once."""
+    canonical suffixes, one lane each, in lexicographic order.  The block
+    reads its rows, seeds and tail from the cached table of its prefix's
+    largest color, and a prefix edge of color c takes that table's
+    one-color picks and step list; _live drops the lanes that strand a
+    leaf, and _block_ok checks the rest at once."""
     m, n = len(pairs), len(core)
     s = 0
     while s < m - 1 and max(k, 2) ** (s + 1) <= _LANES:
@@ -168,12 +175,14 @@ def _level(k, pairs, core, dead, before, order, peel):
     prefix, pmax = [1] * (m - s), [1] * (m - s)
     explored = 0
     while True:
-        rows, tail, solid = _suffixes(s, k, pmax[-1], n)
+        rows, tail, tail_steps, solid, units, seeds = _suffixes(s, k, pmax[-1], n)
         picks = [solid[c - 1] for c in prefix]
         picks += tail
         live = _live(picks, dead, solid[0][0])
         if live:
-            for lane in _block_ok(k, core, picks, live, order, peel):
+            steps = [units[c - 1] for c in prefix]
+            steps += tail_steps
+            for lane in _block_ok(k, core, steps, seeds, live, order, peel):
                 witness = dict(zip(pairs, prefix + list(rows[lane])))
                 yield ExactResult(k, EdgeColoring(k, witness), before + explored + lane + 1)
         explored += len(rows)
@@ -183,29 +192,43 @@ def _level(k, pairs, core, dead, before, order, peel):
 
 @lru_cache(maxsize=256)
 def _suffixes(s, k, top, n):
-    """(rows, picks, solid) for the canonical color sequences of length s
-    that may follow a prefix whose largest color is ``top``.  ``rows`` lists
-    them in lexicographic order, and row j is lane j, the field of bits
-    j (n + 1) to j (n + 1) + n: n data bits, then a guard bit.  picks[i][c]
-    has every data bit of lane j set when rows[j][i] = c + 1.  solid[c] is
-    the picks of an edge that has color c + 1 in every lane, so solid[0][0]
-    has every data bit of every lane set (read-only)."""
-    if s == 0:
-        rows, picks, ones = [()], [], (1 << n) - 1
-    else:
-        rows, picks, ones, shift = [], [[0] * k for _ in range(s)], 0, 0
-        for c in range(1, min(top + 1, k) + 1):
-            sub_rows, sub_picks, sub_solid = _suffixes(s - 1, k, max(top, c), n)
-            sub_ones = sub_solid[0][0]
-            picks[0][c - 1] = sub_ones << shift
-            for row, sub in zip(picks[1:], sub_picks):
-                for d, pick in enumerate(sub):
-                    row[d] |= pick << shift
-            rows += [(c,) + row for row in sub_rows]
-            ones |= sub_ones << shift
-            shift += len(sub_rows) * (n + 1)
+    """(rows, picks, steps, solid, units, seeds): the table of a block whose
+    prefix's largest color is ``top``, as _packed lays it out, with what
+    every block that reads it would otherwise build again.  steps[i] is
+    the step list of suffix edge i, the (c, picks[i][c]) pairs whose pick
+    is nonzero, in color order.  solid[c] is the picks of an edge that has
+    color c + 1 in every lane, and units[c] its step list; solid[0][0] has
+    every data bit of every lane set.  seeds[v] has bit v of every lane's
+    field set: the empty walk at v.  Read-only."""
+    rows, picks, ones = _packed(s, k, top, n)
+    steps = tuple(tuple((c, pick) for c, pick in enumerate(row) if pick) for row in picks)
     solid = tuple((0,) * c + (ones,) + (0,) * (k - 1 - c) for c in range(k))
-    return tuple(rows), tuple(map(tuple, picks)), solid
+    units = tuple(((c, ones),) for c in range(k))
+    low = ones & ~(ones << 1)
+    return rows, picks, steps, solid, units, tuple(low << v for v in range(n))
+
+
+@lru_cache(maxsize=256)
+def _packed(s, k, top, n):
+    """(rows, picks, ones) for the canonical color sequences of length s
+    that may follow a prefix whose largest color is ``top``.  ``rows``
+    lists them in lexicographic order, and row j is lane j, the field of
+    bits j (n + 1) to j (n + 1) + n: n data bits, then a guard bit.
+    picks[i][c] has every data bit of lane j set when rows[j][i] = c + 1,
+    and ``ones`` every data bit of every lane (read-only)."""
+    if s == 0:
+        return ((),), (), (1 << n) - 1
+    rows, picks, ones, shift = [], [[0] * k for _ in range(s)], 0, 0
+    for c in range(1, min(top + 1, k) + 1):
+        sub_rows, sub_picks, sub_ones = _packed(s - 1, k, max(top, c), n)
+        picks[0][c - 1] = sub_ones << shift
+        for row, sub in zip(picks[1:], sub_picks):
+            for d, pick in enumerate(sub):
+                row[d] |= pick << shift
+        rows += [(c,) + row for row in sub_rows]
+        ones |= sub_ones << shift
+        shift += len(sub_rows) * (n + 1)
+    return tuple(rows), tuple(map(tuple, picks)), ones
 
 
 def _dead_ends(nbrs):
@@ -242,23 +265,25 @@ def _live(picks, dead, ones):
     return live
 
 
-def _block_ok(k, core, picks, live, order, peel):
+def _block_ok(k, core, steps, seeds, live, order, peel):
     """The all-pairs walk check on every lane of a block at once: the lanes
     whose data bits are set in ``live``, each a coloring of the edges of
-    the graph given by ``picks`` (see _suffixes).  ``core`` and ``peel``
-    are its _neighbor_table split by _peel, or the table and no peel list,
-    and ``order`` lists the core's tails.  Yields the passing lanes in
-    increasing order.
+    the graph given by the step lists ``steps`` (see _suffixes), seeded by
+    ``seeds``.  ``core`` and ``peel`` are its _neighbor_table split by
+    _peel, or the table and no peel list, and ``order`` lists the core's
+    tails.  Yields the passing lanes in increasing order.
 
     One Python int per (vertex v, color c) packs the fields of all lanes:
     bit u of lane i's field says that source u reaches v by a walk ending
-    in color c + 1, or u = v.  The empty walk seeds bit v into every live
-    field of v, since it may leave v along any color; a lane outside
-    ``live`` has no seed, so it never fills.  avail[c] at a vertex a, the
-    sources whose walks may leave a along color c + 1, is the seed alone
-    at k = 1, the other color's int at k = 2 and the OR of the other
-    colors' ints at k >= 3.  A step a -> b along edge e then costs, per
-    color c, one AND of avail[c] with picks[e][c] and one OR into b's int.
+    in color c + 1, or u = v.  The empty walk seeds bit v into every field
+    of v, since it may leave v along any color.  Every lane is seeded and
+    filled; the lanes outside ``live`` are masked where the cover starts,
+    so they never pass.  avail[c] at a vertex a, the sources whose walks
+    may leave a along color c + 1, is the seed alone at k = 1, the other
+    color's int at k = 2 and the OR of the other colors' ints at k >= 3.
+    A step a -> b along edge e then costs, per pair (c, pick) of e's step
+    list, one AND of avail[c] with pick and one OR into b's int; a color
+    that e takes in no lane costs nothing.
 
     The up pass steps from each peeled vertex t to its parent, in peel
     order, once.  The sweeps then visit the tails a in ``order``, then in
@@ -275,14 +300,14 @@ def _block_ok(k, core, picks, live, order, peel):
     lemma (module docstring) the ints then hold the least fixpoint of the
     whole graph, the same as sweeping every arc.  A lane passes when all
     n data bits of the AND over v of v's OR over colors are set: adding 1
-    to its field then carries into the guard bit."""
+    to its field then carries into the guard bit, and _lanes reads the
+    passing guard bits lowest first."""
     n = len(core)
-    low = live & ~(live << 1)
-    seeds = [low << v for v in range(n)]
     reach = [[seed] * k for seed in seeds]
-    colors = range(k)
     for t, p, e in peel:
-        _step(colors, _others(k, reach[t], seeds[t]), picks[e], reach[p])
+        avail, target = _others(k, reach[t], seeds[t]), reach[p]
+        for c, pick in steps[e]:
+            target[c] |= avail[c] & pick
     dirty = [False] * n
     for a in order:
         dirty[a] = True
@@ -295,10 +320,10 @@ def _block_ok(k, core, picks, live, order, peel):
             dirty[a] = False
             avail = _others(k, reach[a], seeds[a])
             for b, e in core[a]:
-                target, pick = reach[b], picks[e]
-                for c in colors:
+                target = reach[b]
+                for c, pick in steps[e]:
                     old = target[c]
-                    new = old | (avail[c] & pick[c])
+                    new = old | (avail[c] & pick)
                     if new != old:
                         target[c] = new
                         dirty[b] = True
@@ -306,23 +331,24 @@ def _block_ok(k, core, picks, live, order, peel):
             raise AssertionError("exact kernel: an arc enters a vertex that is not a tail in the sweep order")
         order = order[::-1]
     for t, p, e in reversed(peel):
-        _step(colors, _others(k, reach[p], seeds[p]), picks[e], reach[t])
+        avail, target = _others(k, reach[p], seeds[p]), reach[t]
+        for c, pick in steps[e]:
+            target[c] |= avail[c] & pick
     cover = live
     for states in reach:
         cover &= reduce(or_, states)
-    bits = bin((cover + low) & (low << n))[:1:-1]
-    i = bits.find("1")
-    while i >= 0:
-        yield i // (n + 1)
-        i = bits.find("1", i + 1)
+    low = seeds[0]
+    yield from _lanes((cover + low) & (low << n), n)
 
 
-def _step(colors, avail, pick, target):
-    """One step of the up or down pass: the walks of ``avail`` that may
-    take an edge with picks ``pick``, into the ints ``target`` of its
-    other end."""
-    for c in colors:
-        target[c] |= avail[c] & pick[c]
+def _lanes(guards, n):
+    """The lanes whose guard bit is set in ``guards``, lowest first, with
+    fields of n + 1 bits: one x & -x per lane read, so a caller that stops
+    at the first lane pays for one."""
+    while guards:
+        guard = guards & -guards
+        yield guard.bit_length() // (n + 1) - 1
+        guards ^= guard
 
 
 def _others(k, ints, seed):

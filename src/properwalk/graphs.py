@@ -514,16 +514,54 @@ def _check_gnp(n: int, p: float) -> None:
 
 
 def random_connected(n: int, p: float, seed=None, max_tries: int = 100000) -> Graph:
-    """Erdos-Renyi G(n, p) resampled until connected; deterministic under seed."""
+    """Erdos-Renyi G(n, p) resampled until connected; deterministic under seed.
+
+    When the first 100 draws all fail, raises ValueError at once if
+    max_tries draws would find a connected one with probability below
+    1e-6 (at most max_tries times P(G(n, p) is connected)).  The check
+    draws nothing, so every sample that is returned is the one the same
+    seed always gave."""
     _check_gnp(n, p)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
-    for _ in range(max_tries):
+    for tries in range(max_tries):
+        if tries == 100:
+            chance = _connected_chance(n, p)
+            if max_tries * chance < 1e-6:
+                raise ValueError(f"G(n={n}, p={p}) is connected with probability {chance:.3g}, "
+                                 f"so {max_tries} tries find a connected sample with "
+                                 f"probability below 1e-6")
         edges = [e for e in pairs if rng.random() < p]
         g = Graph(n, edges)
         if g.is_connected():
             return g
     raise ValueError(f"no connected sample after {max_tries} tries (n={n}, p={p})")
+
+
+def _connected_chance(n: int, p: float) -> float:
+    """P(G(n, p) is connected), by Gilbert's recursion on the size j of
+    vertex 1's component: C(1) = 1 and C(m) = 1 - sum over j < m of
+    binom(m - 1, j - 1) C(j) (1 - p)^(j (m - j)).  Where C(m) is tiny the
+    sum cancels to many digits, so it runs in decimal arithmetic, at
+    doubling precision until two runs agree to 1e-3."""
+    from decimal import Decimal, localcontext
+    from math import comb
+    prec, last = 32, None
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            q = 1 - Decimal(p)
+            powers = [Decimal(1)]
+            for _ in range(n * n // 4):
+                powers.append(powers[-1] * q)
+            chance = [None, Decimal(1)]
+            for m in range(2, n + 1):
+                chance.append(1 - sum(comb(m - 1, j - 1) * chance[j] * powers[j * (m - j)]
+                                      for j in range(1, m)))
+            value = chance[n]
+        if last is not None and abs(value - last) <= abs(value) / 1000:
+            return float(value)
+        prec, last = 2 * prec, value
 
 
 _FAMILIES = {

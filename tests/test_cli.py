@@ -400,6 +400,18 @@ class TestExperiment:
         assert lines[-1] == ("summary: trials=40 k[2:34 3:6] "
                              "status[exact=39 upper-bound=1] exact-mismatch=0")
 
+    def test_row_past_the_oracle_budget_is_unsettled(self, run):
+        # trial 22's pw_auto answer is 3, and level 2 of the oracle would
+        # need 25 edges against its 20-edge budget: the row reads
+        # unsettled and the table goes on, with exit 0 (no mismatch)
+        code, out, err = run("experiment", "--n", "20", "--p", "0.15", "--trials", "23",
+                             "--seed", "1", "--exact")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 25)
+        assert lines[23] == "22 20 25 3 upper-bound unsettled unsettled"
+        assert lines[-1] == ("summary: trials=23 k[2:22 3:1] status[exact=22 upper-bound=1] "
+                             "exact-mismatch=0 exact-unsettled=1")
+
     def test_without_exact(self, run):
         assert run("experiment", "--n", "6", "--p", "0.5", "--trials", "3",
                    "--seed", "2") == (0, "trial n m k status\n"

@@ -26,9 +26,9 @@ def checked_kernel(monkeypatch):
     of making the kernel sweep forever."""
     kernel = exact._block_ok
 
-    def checked(k, core, picks, live, order, peel):
+    def checked(k, core, steps, seeds, live, order, peel):
         assert_layout(core, order, peel)
-        return kernel(k, core, picks, live, order, peel)
+        return kernel(k, core, steps, seeds, live, order, peel)
     monkeypatch.setattr(exact, "_block_ok", checked)
 
 
@@ -337,9 +337,9 @@ def spider(legs, length):
     return Graph(nxt, edges)
 
 
-def pack(n, k, rows):
+def pack_picks(n, k, rows):
     """(picks, live) for a block whose lane j colors the edges as rows[j]
-    does, in the layout of exact._suffixes: lane j owns bits j (n + 1) to
+    does, in the layout of exact._packed: lane j owns bits j (n + 1) to
     j (n + 1) + n, n data bits and a guard bit."""
     data = (1 << n) - 1
     picks = [[0] * k for _ in rows[0]]
@@ -349,11 +349,31 @@ def pack(n, k, rows):
     return picks, sum(data << j * (n + 1) for j in range(len(rows)))
 
 
-def unpack(n, picks, live):
+def pack(n, k, rows):
+    """The (steps, seeds, live) arguments of exact._block_ok for the block
+    of pack_picks: each edge's nonzero (color, pick) pairs, and bit v of
+    every lane's field for each vertex v."""
+    picks, live = pack_picks(n, k, rows)
+    steps = [[(c, pick) for c, pick in enumerate(row) if pick] for row in picks]
+    low = sum(1 << j * (n + 1) for j in range(len(rows)))
+    return steps, [low << v for v in range(n)], live
+
+
+def unpack(n, steps, live):
     """{lane: its row of colors} for the lanes of ``live``: pack's inverse."""
     lanes = [j for j in range(live.bit_length() // (n + 1) + 1) if live >> j * (n + 1) & 1]
-    return {j: tuple(next(c + 1 for c, pick in enumerate(row) if pick >> j * (n + 1) & 1)
-                     for row in picks) for j in lanes}
+    return {j: tuple(next(c + 1 for c, pick in step if pick >> j * (n + 1) & 1)
+                     for step in steps) for j in lanes}
+
+
+def reference_lanes(guards, n):
+    """The lanes whose guard bit is set in ``guards``, read off its bin()
+    string: the read-out that exact._lanes replaced, kept as its oracle."""
+    bits = bin(guards)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i // (n + 1)
+        i = bits.find("1", i + 1)
 
 
 def walk_passing(nbrs, k, rows):
@@ -385,29 +405,84 @@ def assert_layout(table, order, peel):
     return table, order, peel
 
 
+class TestLaneReadOut:
+    """exact._lanes, the kernel's read-out of the passing guard bits, lists
+    the same lanes as the bin() string it replaced."""
+
+    def test_random_guard_ints(self):
+        rng = random.Random(25)
+        for width in range(2, 15):
+            for lanes in (1, 2, 3, 7, 64, 65, 333, 1023, 1024):
+                guard_bits = [1 << j * width + width - 1 for j in range(lanes)]
+                full = sum(guard_bits)
+                for guards in (0, full, guard_bits[-1], guard_bits[0],
+                               *(sum(b for b in guard_bits if rng.random() < density)
+                                 for density in (0.01, 0.1, 0.5, 0.9))):
+                    got = list(exact._lanes(guards, width - 1))
+                    assert got == list(reference_lanes(guards, width - 1)), (width, lanes)
+                    assert got == sorted(got) and all(0 <= j < lanes for j in got)
+                assert list(exact._lanes(full, width - 1)) == list(range(lanes))
+                assert list(exact._lanes(guard_bits[-1], width - 1)) == [lanes - 1]
+
+
+class TestSuffixTable:
+    """exact._suffixes: the step lists, one-color picks and seeds that every
+    block reads from its cached table."""
+
+    def test_steps_and_seeds_match_the_packed_table(self):
+        for k in (1, 2, 3, 4):
+            for s in range(0, 5):
+                for top in range(1, k + 1):
+                    for n in (1, 2, 5):
+                        rows, picks, steps, solid, units, seeds = exact._suffixes(s, k, top, n)
+                        assert (rows, picks) == exact._packed(s, k, top, n)[:2]
+                        want_steps, want_seeds, ones = pack(n, k, [(top,) + row for row in rows])
+                        assert [list(step) for step in steps] == want_steps[1:]
+                        assert list(seeds) == want_seeds and solid[0][0] == ones
+                        for c in range(k):
+                            assert units[c] == ((c, ones),) and solid[c][c] == ones
+                            assert sum(solid[c]) == ones
+
+
 class TestBlockKernel:
     """The block kernel against the per-coloring check, verify's SCC pass,
-    lane by lane."""
+    lane by lane; every block's read-out against the bin() string's."""
+
+    @pytest.fixture(autouse=True)
+    def checked_read_out(self, monkeypatch):
+        lanes, self.read_outs = exact._lanes, []
+
+        def checked(guards, n):
+            got = list(lanes(guards, n))
+            assert got == list(reference_lanes(guards, n)), (guards, n)
+            self.read_outs.append(guards)
+            return iter(got)
+        monkeypatch.setattr(exact, "_lanes", checked)
 
     @staticmethod
     def assert_lanes_match(n, pairs, bidirectional, ks=(1, 2, 3)):
         nbrs = exact._neighbor_table(n, pairs, bidirectional)
         for k in ks:
             seqs = list(canonical_colorings(len(pairs), k))
-            picks, live = pack(n, k, seqs)
+            steps, seeds, live = pack(n, k, seqs)
             want = walk_passing(nbrs, k, seqs)
-            # a lane left out of live has no seed, so it never passes
+            # every lane is seeded and filled, yet a lane left out of live
+            # is masked at the cover, so it never passes
             odd = sum((1 << n) - 1 << j * (n + 1) for j in range(1, len(seqs), 2))
             even = [j for j in want if j % 2 == 0]
             for table, order, peel in layouts(nbrs, bidirectional):
-                got = exact._block_ok(k, table, picks, live, order, peel)
+                got = exact._block_ok(k, table, steps, seeds, live, order, peel)
                 assert list(got) == want, (pairs, k, peel)
-                assert list(exact._block_ok(k, table, picks, live & ~odd, order, peel)) == even
+                got = exact._block_ok(k, table, steps, seeds, live & ~odd, order, peel)
+                assert list(got) == even
 
     def test_every_coloring_of_small_graphs(self):
         for n in range(1, 6):
             for g in connected_graphs(n):
                 self.assert_lanes_match(g.n, g.edges, True)
+        # blocks with no passing lane and with several were read out
+        assert 0 in self.read_outs
+        assert any(guards & guards - 1 for guards in self.read_outs)
 
     def test_every_coloring_of_small_digraphs(self):
         for d in scc_digraphs(3):
@@ -434,9 +509,9 @@ class TestBlockKernel:
             blocks = []
             core, order, peel = [[], []], range(2), [(1, 0, 0)]
 
-            def fake(k, table, picks, live, sweeps, peeled):
+            def fake(k, table, steps, seeds, live, sweeps, peeled):
                 assert (table, sweeps, peeled) == (core, order, peel)
-                rows = unpack(2, picks, live)
+                rows = unpack(2, steps, live)
                 blocks.append((len(rows), [j for j, row in rows.items() if row in passing]))
                 return blocks[-1][1]
             monkeypatch.setattr(exact, "_block_ok", fake)
@@ -460,14 +535,14 @@ class TestSweepOrder:
         nbrs = exact._neighbor_table(n, pairs, bidirectional)
         for k in (1, 2, 3):
             seqs = list(canonical_colorings(len(pairs), k))
-            picks, live = pack(n, k, seqs)
+            steps, seeds, live = pack(n, k, seqs)
             want = walk_passing(nbrs, k, seqs)
             # each layout's tails in breadth-first order, reversed, shuffled
             for table, tails, peel in layouts(nbrs, bidirectional):
                 bfs = [a for a in exact._bfs_order(table) if a in tails]
                 shuffled = random.Random(len(pairs)).sample(bfs, len(bfs))
                 for order in (bfs, bfs[::-1], shuffled):
-                    got = exact._block_ok(k, table, picks, live, order, peel)
+                    got = exact._block_ok(k, table, steps, seeds, live, order, peel)
                     assert list(got) == want, (pairs, k, order, peel)
 
     def test_every_coloring_of_small_graphs(self):
@@ -644,7 +719,7 @@ class TestDeadEnds:
         count = 0
         for k in (1, 2, 3):
             seqs = list(canonical_colorings(len(pairs), k))
-            picks, ones = pack(n, k, seqs)
+            picks, ones = pack_picks(n, k, seqs)
             live = exact._live(picks, dead, ones)
             assert live & ~ones == 0
             data = (1 << n) - 1

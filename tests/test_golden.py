@@ -18,9 +18,16 @@ on the members it colors with two, ``color_spanning_odd_cycle2`` where the
 shortest odd cycle spans, and ``reduce_theta`` on the 2-connected,
 nonbipartite, noncomplete graphs whose shortest odd cycle does not span.
 
-A refactor of the decompositions or the constructions must leave every line
-of both files unchanged.  Regenerate them only for an intended change of
-output, and say why in CHANGES.md:
+``tests/data/exact_golden.json`` pins the exact solvers' k, ``explored``
+and sorted witness, or their ``None``: ``exact_pw(g, max_k=max(3, Delta))``
+and ``exact_pp(g)`` on every connected graph with n <= 5,
+``exact_directed(d, "walk", 3)`` on every strongly connected digraph with
+n <= 3, and refutations: odd cycles with feet that rule out two colors, at
+max_k = 2, and spiders of four legs, at max_k = 3.
+
+A refactor of the decompositions, the constructions or the exact search
+must leave every line of the three files unchanged.  Regenerate them only
+for an intended change of output, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -29,21 +36,25 @@ differ, so the changed entries can be listed; unchanged cases print nothing.
 """
 
 import json
+from itertools import chain
 from pathlib import Path
 
-from properwalk import (ColoringResult, Graph, ThetaSubgraph, TwoOddLayout,
+from properwalk import (ColoringResult, Digraph, Graph, ThetaSubgraph, TwoOddLayout,
                         bipartition, blocks, bridges, classify_cycle_feet,
                         color_bipartite2, color_bridgeless2, color_cycle_feet2,
                         color_spanning_odd_cycle2, color_theta_block2,
                         color_tree, color_two_odd_cycles2, color_unicyclic3,
                         connected_graphs, cycle_connector, cycle_with_feet,
-                        disjoint_odd_cycles, generate, pw_auto,
+                        disjoint_odd_cycles, exact_directed, exact_pp,
+                        exact_pw, generate, pw_auto,
                         random_connected, reduce_theta, shortest_odd_cycle,
                         theta)
+from test_exact import scc_digraphs, spider
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "pw_auto_golden.json"
 CONSTRUCT_GOLDEN = DATA / "construct_golden.json"
+EXACT_GOLDEN = DATA / "exact_golden.json"
 
 # (family, params, seed): two sizes per undirected family; two_triangles
 # takes no parameters, so it appears once.  The extra random draws reach the
@@ -185,12 +196,47 @@ def construct_record(name, g) -> str:
     return json.dumps(row)
 
 
+# Odd cycles with feet whose placement rules out two colors, and spiders
+# whose center needs four.
+REFUTED_FEET = [(3, [3, 3, 2]), (3, [3, 3, 3]), (3, [4, 3, 3]), (3, [2, 2, 2]), (3, [3, 2, 0]),
+                (5, [2, 2, 1, 1, 1]), (5, [3, 0, 3, 0, 0]), (5, [2, 0, 2, 0, 2])]
+
+
+def exact_cases():
+    """(case, solver call) for every line of exact_golden.json."""
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            edges = list(g.edges)
+            yield f"exact_pw n={n} edges={edges}", lambda g=g: exact_pw(g, max_k=max(3, g.max_degree()))
+            yield f"exact_pp n={n} edges={edges}", lambda g=g: exact_pp(g)
+    for d in chain([Digraph(1)], scc_digraphs(3)):
+        yield f"exact_directed n={d.n} arcs={list(d.arcs)}", lambda d=d: exact_directed(d, "walk", 3)
+    for n, feet in REFUTED_FEET:
+        g = cycle_with_feet(n, feet)
+        yield f"exact_pw cycle_with_feet({n}, {feet}) max_k=2", lambda g=g: exact_pw(g, max_k=2)
+    for length in range(1, 4):
+        g = spider(4, length)
+        yield f"exact_pw spider(4, {length}) max_k=3", lambda g=g: exact_pw(g, max_k=3)
+
+
+def exact_record(name, solve) -> str:
+    res = solve()
+    if res is None:
+        return json.dumps({"case": name, "result": None})
+    return json.dumps({"case": name, "k": res.k, "explored": res.explored,
+                       "witness": _pairs(res.witness)})
+
+
 def current_lines() -> list[str]:
     return [record(name, g) for name, g in cases()]
 
 
 def current_construct_lines() -> list[str]:
     return [construct_record(name, g) for name, g in construct_cases()]
+
+
+def current_exact_lines() -> list[str]:
+    return [exact_record(name, solve) for name, solve in exact_cases()]
 
 
 def _matches(path, got):
@@ -206,6 +252,10 @@ def test_pw_auto_matches_golden():
 
 def test_constructions_match_golden():
     _matches(CONSTRUCT_GOLDEN, current_construct_lines())
+
+
+def test_exact_solvers_match_golden():
+    _matches(EXACT_GOLDEN, current_exact_lines())
 
 
 def test_rewrite_lists_changed_cases(tmp_path, capsys):
@@ -243,3 +293,4 @@ if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     _rewrite(GOLDEN, current_lines())
     _rewrite(CONSTRUCT_GOLDEN, current_construct_lines())
+    _rewrite(EXACT_GOLDEN, current_exact_lines())

@@ -1,3 +1,9 @@
+import random
+import time
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,7 @@ from properwalk import (Digraph, EdgeColoring, Graph, GraphFormatError, Walk,
                         directed_cycle, emit_graph, generate, parse_coloring,
                         parse_graph, path_graph, random_connected, star, theta,
                         two_triangles_shared_vertex)
+from properwalk.graphs import _connected_chance
 
 
 class TestParse:
@@ -191,6 +198,45 @@ class TestGenerators:
         # G(n, 0) has no edges, so no sample on two or more vertices connects
         with pytest.raises(ValueError, match=f"^edge probability 0 never connects {n} vertices$"):
             random_connected(n, 0.0)
+
+    def test_random_connected_fails_fast_when_hopeless(self):
+        # G(120, 0.01) is connected with probability 1.35e-19: once the
+        # first 100 draws fail, the call raises instead of drawing 100000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^G\(n=120, p=0.01\) is connected with "
+                                             r"probability 1.35e-19, so 100000 tries"):
+            random_connected(120, 0.01, seed=1)
+        assert time.perf_counter() - start < 1
+        # with max_tries = 100 the check never runs
+        with pytest.raises(ValueError, match="^no connected sample after 100 tries"):
+            random_connected(120, 0.01, seed=1, max_tries=100)
+
+    def test_random_connected_resamples_past_the_check(self):
+        # seed 16 first connects at draw 111: P(connected) = 0.0189 passes
+        # the check, and the sample is the one the plain loop draws
+        n, p = 30, 0.07
+        rng = random.Random(16)
+        pairs = list(combinations(range(n), 2))
+        for draw in range(1000):
+            want = Graph(n, [e for e in pairs if rng.random() < p])
+            if want.is_connected():
+                break
+        assert draw == 110 and random_connected(n, p, seed=16) == want
+
+    def test_connected_chance_matches_enumeration(self):
+        from properwalk.exact import connected_graphs
+        for n in range(1, 6):
+            pairs = n * (n - 1) // 2
+            for p in (0.1, 0.37, 0.5, 0.9, 1.0):
+                want = sum(p ** g.m * (1 - p) ** (pairs - g.m) for g in connected_graphs(n))
+                assert _connected_chance(n, p) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        # where the sum cancels to 1.6e-11 it agrees with exact fractions
+        q = 1 - Fraction(0.02)
+        exact = [None, Fraction(1)]
+        for m in range(2, 31):
+            exact.append(1 - sum(comb(m - 1, j - 1) * exact[j] * q ** (j * (m - j))
+                                 for j in range(1, m)))
+        assert _connected_chance(30, 0.02) == pytest.approx(float(exact[30]), rel=1e-9)
 
     def test_theta_two_connected_nonbipartite(self):
         from properwalk import bipartition, blocks, bridges
